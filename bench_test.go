@@ -710,8 +710,8 @@ func TestTracelessStepZeroAlloc(t *testing.T) {
 // ---- Decision service: the zero-allocation submit path ----
 
 // BenchmarkServiceCheckInto measures a complete decision round trip
-// through the service (queue, worker, MMU validation, reply) using the
-// pooled CheckInto path. Like the traceless step above, 0 B/op is an
+// through the service (admission, slot, MMU validation on the calling
+// goroutine) using the allocation-free CheckInto path. Like the traceless step above, 0 B/op is an
 // acceptance criterion — asserted by TestSubmitIntoZeroAlloc in
 // internal/service.
 func BenchmarkServiceCheckInto(b *testing.B) {
@@ -742,7 +742,7 @@ func BenchmarkServiceCheckInto(b *testing.B) {
 		}
 		dst := make([]rings.Decision, size)
 		b.Run(benchSizeName("batch", size), func(b *testing.B) {
-			for i := 0; i < 8; i++ { // warm the descriptor pool
+			for i := 0; i < 8; i++ { // warm up
 				if err := chk.CheckInto(queries, dst); err != nil {
 					b.Fatal(err)
 				}

@@ -36,7 +36,7 @@
 // Zipf-skewed pick per batch, and one extra cold client drives tenant
 // N-1 alone. A baseline trial (cold client only) runs first; the
 // headline metric is the cold tenant's p99 under contention relative
-// to that baseline — per-tenant worker pools and bounded queues should
+// to that baseline — per-tenant decision slots and admission bounds should
 // hold it near 1.0 while the hot tenants saturate their quotas and
 // shed.
 //
@@ -1154,9 +1154,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	duration := fs.Duration("duration", 2*time.Second, "run length per trial")
 	batch := fs.Int("batch", 64, "queries per submitted batch")
 	mixFlag := fs.String("mix", "access=8,call=1,return=1,effring=1", "query mix weights")
-	workers := fs.Int("workers", 4, "decision workers (in-process mode)")
+	workers := fs.Int("workers", 4, "decision slots (in-process mode)")
 	shards := fs.Int("shards", 0, "descriptor-store shards (in-process; 0 = default)")
-	queue := fs.Int("queue", 0, "batch-queue depth (in-process; 0 = default)")
+	queue := fs.Int("queue", 0, "callers allowed to wait for a decision slot (in-process; 0 = default)")
 	mutators := fs.Int("mutators", 1, "concurrent supervisor-edit goroutines (in-process)")
 	seed := fs.Int64("seed", 1, "query-generation seed")
 	sweepFlag := fs.String("sweep", "", "comma-separated shard counts to sweep (in-process)")

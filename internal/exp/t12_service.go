@@ -11,11 +11,11 @@ import (
 )
 
 // T12: the protection-decision service under concurrent load. The
-// service wraps the MMU decision procedure in a pool of workers — one
-// decision worker each, reading immutable RCU descriptor snapshots
-// pinned per batch — while a supervisor thread streams descriptor
-// edits (SetBrackets, Revoke, Restore) through the store's publish
-// path. Every decision reports the publication epoch of the snapshot
+// service wraps the MMU decision procedure in a set of decision slots
+// — an MMU each, reading immutable RCU descriptor snapshots pinned per
+// batch — shared by concurrent callers, while a supervisor thread
+// streams descriptor edits (SetBrackets, Revoke, Restore) through the
+// store's publish path. Every decision reports the publication epoch of the snapshot
 // it consulted; replaying the same edit script single-threaded gives
 // an oracle, and each concurrent decision must be identical to the
 // oracle's answer at that epoch's state. Under snapshot reads every

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
@@ -65,7 +64,7 @@ func goldenPost(t *testing.T, url, body string, wantStatus int) []byte {
 }
 
 // TestHTTPGolden runs an ordered request sequence against one
-// single-worker server (so worker indices and store versions are
+// single-slot server (so worker indices and store versions are
 // deterministic) and pins every response body against its fixture.
 func TestHTTPGolden(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
@@ -128,30 +127,23 @@ func TestHTTPGolden(t *testing.T) {
 }
 
 // TestHTTPGoldenQueueFull pins the 429 body and Retry-After header:
-// a parked worker plus a depth-1 queue makes the third batch shed.
+// with the only slot occupied and one request waiting for it, a third
+// request exceeds Workers+QueueDepth and sheds.
 func TestHTTPGoldenQueueFull(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	svc := srv.Service()
-	hold := make(chan struct{})
-	ack := make(chan struct{}, 4)
-	svc.hold, svc.holdAck = hold, ack
-	var once sync.Once
-	release := func() { once.Do(func() { close(hold) }) }
-	defer release()
+	release := occupy(t, svc)
 
 	body := `{"queries": [{"op": "access", "ring": 3, "segment": "data"}]}`
-	done := make(chan struct{}, 2)
-	post := func() {
+	done := make(chan struct{}, 1)
+	go func() {
 		resp, err := http.Post(ts.URL+"/v1/check", "application/json", bytes.NewReader([]byte(body)))
 		if err == nil {
 			resp.Body.Close()
 		}
 		done <- struct{}{}
-	}
-	go post()
-	<-ack // worker parked on the first batch
-	go post()
-	waitFor(t, "second batch to queue", func() bool { return svc.QueueLen() == 1 })
+	}()
+	waitFor(t, "request to wait for a slot", func() bool { return svc.Snapshot().QueueLen == 1 })
 
 	resp, err := http.Post(ts.URL+"/v1/check", "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
@@ -171,7 +163,5 @@ func TestHTTPGoldenQueueFull(t *testing.T) {
 	checkGolden(t, "check_queue_full.json", out.Bytes())
 
 	release()
-	for i := 0; i < 2; i++ {
-		<-done
-	}
+	<-done
 }

@@ -12,8 +12,10 @@ import (
 // Server is the HTTP/JSON face of a Service: the ringd daemon's
 // handler. Endpoints:
 //
-//	POST /v1/check   — a batch of protection queries; 429 when the
-//	                   decision queue is full, 503 once closed
+//	POST /v1/check   — a batch of protection queries; 429 when
+//	                   Workers+QueueDepth batches are in flight, 413
+//	                   for a body too large for BatchLimit queries,
+//	                   503 once closed
 //	POST /v1/mutate  — supervisor mutations (setbrackets, revoke,
 //	                   restore) through the coherent StoreSDW path
 //	GET  /healthz    — liveness and image shape
@@ -89,6 +91,12 @@ func (wq wireQuery) toQuery() (Query, error) {
 	return q, nil
 }
 
+// maxQueryBytes is the /v1/check body allowance per query: a body
+// larger than BatchLimit*maxQueryBytes is refused with 413 before it
+// is decoded in full. At the default BatchLimit that is 1 MiB, the
+// binary protocol's default frame bound.
+const maxQueryBytes = 1 << 10
+
 type checkRequest struct {
 	Queries []wireQuery `json:"queries"`
 }
@@ -114,13 +122,26 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST required"})
 		return
 	}
+	limit := s.svc.cfg.BatchLimit
+	maxBody := int64(limit) * maxQueryBytes
 	var req checkRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", maxBody)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
 		return
 	}
 	if len(req.Queries) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "empty batch"})
+		return
+	}
+	if len(req.Queries) > limit {
+		writeJSON(w, http.StatusBadRequest,
+			errorResponse{Error: fmt.Sprintf("%v: %d > %d", ErrBatchTooLarge, len(req.Queries), limit)})
 		return
 	}
 	queries := make([]Query, len(req.Queries))

@@ -3,9 +3,10 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 )
@@ -135,48 +136,86 @@ func TestHTTPCheckErrors(t *testing.T) {
 	}
 }
 
-// TestHTTPBackpressure fills the queue behind a held worker and checks
-// the 429 + Retry-After contract.
+// TestHTTPBackpressure occupies the only slot behind one waiting
+// request and checks the 429 + Retry-After contract.
 func TestHTTPBackpressure(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
 	svc := srv.Service()
-	hold := make(chan struct{})
-	ack := make(chan struct{}, 4)
-	svc.hold, svc.holdAck = hold, ack
-	var once sync.Once
-	release := func() { once.Do(func() { close(hold) }) }
-	defer release() // a Fatal below must not leave the server's Close waiting on a parked worker
+	release := occupy(t, svc)
 
 	req := checkRequest{Queries: []wireQuery{{Op: "access", Ring: 3, Segment: "data"}}}
-	results := make(chan int, 2)
-	post := func() {
+	result := make(chan int, 1)
+	go func() {
 		resp, _ := postJSON(t, ts.URL+"/v1/check", req)
-		results <- resp.StatusCode
-	}
-
-	go post()
-	<-ack // worker parked on the first batch; it cannot race the next one
-	go post()
-	waitFor(t, "second batch to queue", func() bool { return svc.QueueLen() == 1 })
+		result <- resp.StatusCode
+	}()
+	waitFor(t, "request to wait for a slot", func() bool { return svc.Snapshot().QueueLen == 1 })
 
 	resp, body := postJSON(t, ts.URL+"/v1/check", req)
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("full queue: status %d, want 429: %s", resp.StatusCode, body)
+		t.Fatalf("admission bound reached: status %d, want 429: %s", resp.StatusCode, body)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After header")
 	}
 
 	release()
-	for i := 0; i < 2; i++ {
-		select {
-		case code := <-results:
-			if code != http.StatusOK {
-				t.Errorf("held request %d: status %d", i, code)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("held requests did not complete after release")
+	select {
+	case code := <-result:
+		if code != http.StatusOK {
+			t.Errorf("waiting request: status %d", code)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiting request did not complete after release")
+	}
+}
+
+// TestHTTPCheckBodyTooLarge checks that a /v1/check body beyond
+// BatchLimit*maxQueryBytes is refused with 413 before it is decoded
+// in full.
+func TestHTTPCheckBodyTooLarge(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, BatchLimit: 2})
+	pad := strings.Repeat(" ", 2*maxQueryBytes)
+	body := `{"queries": [` + pad + `{"op": "access", "ring": 4, "segment": "data"}]}`
+	resp, err := http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer resp.Body.Close()
+	var out errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413: %+v", resp.StatusCode, out)
+	}
+	if want := fmt.Sprintf("request body exceeds %d bytes", 2*maxQueryBytes); out.Error != want {
+		t.Errorf("error = %q, want %q", out.Error, want)
+	}
+}
+
+// TestHTTPCheckTooManyQueries checks that a batch beyond BatchLimit is
+// refused with 400 by the handler itself, before any query is
+// converted or submitted.
+func TestHTTPCheckTooManyQueries(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, BatchLimit: 2})
+	over := checkRequest{Queries: make([]wireQuery, 3)}
+	for i := range over.Queries {
+		// An unknown kind would fail conversion with a different 400:
+		// the count check must come first.
+		over.Queries[i] = wireQuery{Op: "access", Ring: 1, Segment: "data", Kind: "sniff"}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/check", over)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized batch: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	var out errorResponse
+	decode(t, body, &out)
+	if want := "service: batch exceeds limit: 3 > 2"; out.Error != want {
+		t.Errorf("error = %q, want %q", out.Error, want)
+	}
+	if got := srv.Service().Snapshot().Batches; got != 0 {
+		t.Errorf("batches = %d, want 0: an oversized batch must not reach the service", got)
 	}
 }
 

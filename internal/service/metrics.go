@@ -13,76 +13,80 @@ import (
 const violationKinds = core.ViolationKindCount
 
 // latencyBuckets is the number of power-of-two latency histogram
-// buckets; bucket i counts batches whose queue-to-completion latency
+// buckets; bucket i counts batches whose admission-to-completion latency
 // lay in [2^i, 2^(i+1)) nanoseconds.
 const latencyBuckets = 32
 
-// Metrics is the service's always-on instrumentation: decision counts,
-// faults by kind, backpressure rejections, and a power-of-two latency
-// histogram. All counters are atomic; readers see a monitoring-grade
-// (not transactionally consistent) view.
-type Metrics struct {
-	batches  atomic.Uint64
-	queries  atomic.Uint64
-	rejected atomic.Uint64
-	allowed  atomic.Uint64
-	denied   atomic.Uint64
-	errors   atomic.Uint64
-	trapped  atomic.Uint64
+// Counter indices into counters: decision outcomes, then queries per
+// op, then denials per violation kind, then the latency histogram.
+const (
+	cBatches = iota
+	cQueries
+	cAllowed
+	cDenied
+	cErrors
+	cTrapped
+	cOpAccess
+	cOpCall
+	cOpReturn
+	cOpEffRing
+	cOpOther
+	cFaults                                // violationKinds counters
+	cLatency    = cFaults + violationKinds // latencyBuckets counters
+	numCounters = cLatency + latencyBuckets
+)
 
-	opAccess  atomic.Uint64
-	opCall    atomic.Uint64
-	opReturn  atomic.Uint64
-	opEffRing atomic.Uint64
-	opOther   atomic.Uint64
-
-	faults  [violationKinds]atomic.Uint64
-	latency [latencyBuckets]atomic.Uint64
-}
-
-func newMetrics() *Metrics { return &Metrics{} }
+// counters is one decision slot's always-on instrumentation: decision
+// counts, faults by kind, and a power-of-two batch-latency histogram.
+// Only the caller holding the slot writes them, so they never bounce
+// between cores; Snapshot sums every slot's counters, a
+// monitoring-grade (not transactionally consistent) view.
+type counters [numCounters]atomic.Uint64
 
 // count tallies one decision.
-func (m *Metrics) count(op Op, d *Decision) {
-	m.queries.Add(1)
+//
+//ring:hotpath
+func (c *counters) count(op Op, d *Decision) {
+	c[cQueries].Add(1)
 	switch op {
 	case OpAccess:
-		m.opAccess.Add(1)
+		c[cOpAccess].Add(1)
 	case OpCall:
-		m.opCall.Add(1)
+		c[cOpCall].Add(1)
 	case OpReturn:
-		m.opReturn.Add(1)
+		c[cOpReturn].Add(1)
 	case OpEffRing:
-		m.opEffRing.Add(1)
+		c[cOpEffRing].Add(1)
 	default:
-		m.opOther.Add(1)
+		c[cOpOther].Add(1)
 	}
 	switch {
 	case d.Err != "":
-		m.errors.Add(1)
+		c[cErrors].Add(1)
 	case d.Allowed:
-		m.allowed.Add(1)
+		c[cAllowed].Add(1)
 		if d.Trapped {
-			m.trapped.Add(1)
+			c[cTrapped].Add(1)
 		}
 	default:
-		m.denied.Add(1)
+		c[cDenied].Add(1)
 		if k := int(d.ViolationKind); k >= 0 && k < violationKinds {
-			m.faults[k].Add(1)
+			c[cFaults+k].Add(1)
 		}
 	}
 }
 
-// observe tallies one completed batch and its queue-to-completion
+// observe tallies one completed batch and its admission-to-completion
 // latency.
-func (m *Metrics) observe(b *batch) {
-	m.batches.Add(1)
-	ns := time.Since(b.enqueued).Nanoseconds()
+//
+//ring:hotpath
+func (c *counters) observe(d time.Duration) {
+	c[cBatches].Add(1)
 	bucket := 0
-	for v := ns; v > 1 && bucket < latencyBuckets-1; v >>= 1 {
+	for v := d.Nanoseconds(); v > 1 && bucket < latencyBuckets-1; v >>= 1 {
 		bucket++
 	}
-	m.latency[bucket].Add(1)
+	c[cLatency+bucket].Add(1)
 }
 
 // LatencyBucket is one non-empty histogram bucket.
@@ -93,7 +97,7 @@ type LatencyBucket struct {
 	Count uint64 `json:"count"`
 }
 
-// ReaderSnapshot reports one worker's snapshot-read counters: how
+// ReaderSnapshot reports one decision slot's snapshot-read counters: how
 // many times it pinned a shard snapshot (once per consulted shard per
 // batch) and how many descriptor lookups those pins served. A high
 // Lookups/Pins ratio is the snapshot-era analogue of a high cache hit
@@ -105,6 +109,8 @@ type ReaderSnapshot struct {
 
 // Snapshot is one /metrics observation.
 type Snapshot struct {
+	// Workers is the number of decision slots; QueueLen counts callers
+	// waiting for one, QueueCap how many may wait.
 	Workers  int    `json:"workers"`
 	QueueLen int    `json:"queue_len"`
 	QueueCap int    `json:"queue_cap"`
@@ -124,13 +130,12 @@ type Snapshot struct {
 	// machinery: publishes, buffer reuse, reclamation, and current
 	// retired/free list sizes (see rcu.go).
 	RCU RCUSnapshot `json:"rcu"`
-	// Reads sums the per-worker snapshot-read counters.
+	// Reads sums the per-slot snapshot-read counters.
 	Reads ReaderSnapshot `json:"reads"`
-	// PerWorkerReads lists each worker's own counters (one decision
-	// worker each).
+	// PerWorkerReads lists each decision slot's own counters.
 	PerWorkerReads []ReaderSnapshot `json:"per_worker_reads"`
-	// Events tallies trace events by kind across all workers, fed from
-	// the zero-alloc mmu.Sink each worker's unit records into.
+	// Events tallies trace events by kind across all slots, fed from
+	// the zero-alloc mmu.Sink each slot's unit records into.
 	Events map[string]uint64 `json:"events"`
 	// LatencyNs is the non-empty part of the batch latency histogram.
 	LatencyNs []LatencyBucket `json:"latency_ns"`
@@ -153,74 +158,57 @@ func metricKey(s string) string {
 	}, s)
 }
 
-// Metrics returns the service's counters (live; reads are atomic).
-func (s *Service) Metrics() *Metrics { return s.metrics }
-
-// Events returns the shared trace-event counters every worker's MMU
-// records into.
-func (s *Service) Events() *trace.AtomicCounters { return s.events }
-
-// ReadStats sums the workers' published snapshot-read counters.
-func (s *Service) ReadStats() ReaderSnapshot {
-	var sum ReaderSnapshot
-	for _, w := range s.workers {
-		w.statsMu.Lock()
-		st := w.published
-		w.statsMu.Unlock()
-		sum.Pins += st.Pins
-		sum.Lookups += st.Lookups
-	}
-	return sum
-}
-
-// Snapshot assembles the full /metrics view.
+// Snapshot assembles the full /metrics view, summing the slots'
+// counters.
 func (s *Service) Snapshot() Snapshot {
-	m := s.metrics
+	var sum [numCounters]uint64
+	var events [trace.KindCount]uint64
 	snap := Snapshot{
-		Workers:  len(s.workers),
-		QueueLen: len(s.queue),
-		QueueCap: cap(s.queue),
+		Workers:  len(s.slots),
+		QueueLen: int(s.waiting.Load()),
+		QueueCap: s.cfg.QueueDepth,
 		Version:  s.store.Version(),
-		Batches:  m.batches.Load(),
-		Queries:  m.queries.Load(),
-		Rejected: m.rejected.Load(),
-		Allowed:  m.allowed.Load(),
-		Denied:   m.denied.Load(),
-		Errors:   m.errors.Load(),
-		Trapped:  m.trapped.Load(),
-		Ops: map[string]uint64{
-			string(OpAccess):  m.opAccess.Load(),
-			string(OpCall):    m.opCall.Load(),
-			string(OpReturn):  m.opReturn.Load(),
-			string(OpEffRing): m.opEffRing.Load(),
-		},
-		Faults: map[string]uint64{},
-		Events: map[string]uint64{},
+		Rejected: s.rejected.Load(),
+		RCU:      s.store.RCUStats(),
+		Faults:   map[string]uint64{},
+		Events:   map[string]uint64{},
 	}
-	if n := m.opOther.Load(); n > 0 {
-		snap.Ops["other"] = n
-	}
-	for k := 0; k < violationKinds; k++ {
-		if n := m.faults[k].Load(); n > 0 {
-			snap.Faults[metricKey(core.ViolationKind(k).String())] = n
+	for _, sl := range s.slots {
+		for i := range sum {
+			sum[i] += sl.counts[i].Load()
 		}
-	}
-	for k := 0; k < trace.KindCount; k++ {
-		if n := s.events.Of(trace.Kind(k)); n > 0 {
-			snap.Events[metricKey(trace.Kind(k).String())] = n
+		for k := range events {
+			events[k] += sl.events.Of(trace.Kind(k))
 		}
-	}
-	snap.RCU = s.store.RCUStats()
-	for _, w := range s.workers {
-		w.statsMu.Lock()
-		st := w.published
-		w.statsMu.Unlock()
+		st := ReaderSnapshot{Pins: sl.rd.pins.Load(), Lookups: sl.rd.lookups.Load()}
 		snap.Reads.Pins += st.Pins
 		snap.Reads.Lookups += st.Lookups
 		snap.PerWorkerReads = append(snap.PerWorkerReads, st)
 	}
+	snap.Batches, snap.Queries = sum[cBatches], sum[cQueries]
+	snap.Allowed, snap.Denied = sum[cAllowed], sum[cDenied]
+	snap.Errors, snap.Trapped = sum[cErrors], sum[cTrapped]
+	snap.Ops = map[string]uint64{
+		string(OpAccess):  sum[cOpAccess],
+		string(OpCall):    sum[cOpCall],
+		string(OpReturn):  sum[cOpReturn],
+		string(OpEffRing): sum[cOpEffRing],
+	}
+	if n := sum[cOpOther]; n > 0 {
+		snap.Ops["other"] = n
+	}
+	for k := 0; k < violationKinds; k++ {
+		if n := sum[cFaults+k]; n > 0 {
+			snap.Faults[metricKey(core.ViolationKind(k).String())] = n
+		}
+	}
+	for k, n := range events {
+		if n > 0 {
+			snap.Events[metricKey(trace.Kind(k).String())] = n
+		}
+	}
 	for i := 0; i < latencyBuckets; i++ {
-		if n := m.latency[i].Load(); n > 0 {
+		if n := sum[cLatency+i]; n > 0 {
 			lo := int64(1) << i
 			if i == 0 {
 				lo = 0

@@ -14,7 +14,7 @@ import (
 // processor observes. This file takes the software consequence
 // seriously — access validation is a pure function of descriptor
 // state, so the store publishes that state as immutable per-shard
-// snapshots and decision workers evaluate against a snapshot without
+// snapshots and decision slots evaluate against a snapshot without
 // ever acquiring a lock.
 //
 // Lifecycle of a shard snapshot:
@@ -88,13 +88,13 @@ const (
 	freeListCap = 4
 )
 
-// reader is one registered read-side of the store: a decision
-// worker's epoch-counted announcement slots plus its per-batch pinned
-// snapshots. It implements mmu.SDWSource, so a worker MMU pointed at
+// reader is one registered read-side of the store: a decision slot's
+// epoch-counted announcement slots plus its per-batch pinned
+// snapshots. It implements mmu.SDWSource, so a slot's MMU pointed at
 // its reader resolves every descriptor fetch from the pinned
-// snapshots. All fields except slots are owned by the reader's
-// goroutine; slots are written by the owner and scanned by mutators
-// during reclamation.
+// snapshots. Only the goroutine holding the decision slot uses the
+// reader; mutators scan its announcement slots during reclamation and
+// /metrics reads its counters.
 type reader struct {
 	st *Store
 	// slots[i] is this reader's announcement for shard i: 0 when
@@ -105,10 +105,9 @@ type reader struct {
 	// views[i] is the snapshot pinned for shard i in the current
 	// batch; nil when not yet pinned this batch.
 	views []*snapshot
-	// pins and lookups count snapshot pins and descriptor lookups —
-	// owner-private hot-path counters, copied out under the worker's
-	// statsMu for /metrics.
-	pins, lookups uint64
+	// pins and lookups count snapshot pins and descriptor lookups.
+	// Only the slot holder writes them; /metrics reads them live.
+	pins, lookups atomic.Uint64
 }
 
 // pin returns the snapshot this reader uses for shard sh, announcing
@@ -128,7 +127,7 @@ func (r *reader) pin(sh int) *snapshot {
 	r.slots[sh].Store(shd.epoch.Load() + 1)
 	s := shd.snap.Load()
 	r.views[sh] = s
-	r.pins++
+	r.pins.Add(1)
 	return s
 }
 
@@ -171,7 +170,7 @@ func (r *reader) pinSum(mask uint64) uint64 {
 //ring:hotpath
 //ring:pins
 func (r *reader) LookupSDW(segno uint32) (seg.SDW, error) {
-	r.lookups++
+	r.lookups.Add(1)
 	if segno > seg.MaxSegno {
 		return seg.SDW{}, nil
 	}
@@ -184,7 +183,7 @@ func (r *reader) LookupSDW(segno uint32) (seg.SDW, error) {
 }
 
 // newReader registers a new read-side with the store. Readers are
-// expected to be long-lived (one per decision worker); registration
+// expected to be long-lived (one per decision slot); registration
 // copies the reader list so reclamation scans traverse an immutable
 // slice without locking.
 func (st *Store) newReader() *reader {

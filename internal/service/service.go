@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -89,7 +90,7 @@ type Decision struct {
 	// Err reports a malformed query (unknown op, unknown segment name).
 	Err string `json:"err,omitempty"`
 	// VersionLo and VersionHi report the mutation epoch of the
-	// descriptor-store shard the decision consulted. Decision workers
+	// descriptor-store shard the decision consulted. Decision slots
 	// read RCU snapshots, so both fields carry the (even) publication
 	// epoch of the pinned snapshot — a degenerate interval meaning a
 	// clean snapshot of that shard at that version (see the package
@@ -104,18 +105,18 @@ type Decision struct {
 	// consulted shards' pinned snapshot epochs (the store-wide Version
 	// analogue) instead.
 	Shard int `json:"shard"`
-	// Worker is the index of the worker (simulated processor) that
-	// evaluated the decision.
+	// Worker is the index of the decision slot (simulated processor)
+	// that evaluated the decision.
 	Worker int `json:"worker"`
 }
 
 // Config sizes a Service.
 type Config struct {
-	// Workers is the number of decision workers, each with its own MMU
-	// reading the store's RCU descriptor snapshots; default 4.
+	// Workers is the number of decision slots — batches decided at
+	// once, each on its caller's goroutine; default 4.
 	Workers int
-	// QueueDepth bounds the batch queue; a full queue rejects Submit
-	// with ErrQueueFull (backpressure). Default 64.
+	// QueueDepth is how many more callers may wait for a free slot;
+	// beyond that, Submit sheds with ErrQueueFull. Default 64.
 	QueueDepth int
 	// Validate disables ring validation when false and ValidateSet is
 	// true (the T5 ablation, exposed for comparison runs).
@@ -128,8 +129,8 @@ type Config struct {
 
 // Service errors.
 var (
-	// ErrQueueFull is returned by Submit when the bounded queue is at
-	// capacity: the caller should shed or retry (HTTP maps it to 429).
+	// ErrQueueFull is returned by Submit when Workers+QueueDepth
+	// batches are in flight: shed or retry (HTTP maps it to 429).
 	ErrQueueFull = errors.New("service: decision queue full")
 	// ErrClosed is returned by Submit after Close (HTTP maps it to 503).
 	ErrClosed = errors.New("service: closed")
@@ -137,60 +138,60 @@ var (
 	ErrBatchTooLarge = errors.New("service: batch exceeds limit")
 )
 
-// batch is one queued unit of work. Batch descriptors are pooled and
-// their reply channels reused, so a steady submit/decide cycle runs
-// without allocating; decisions are written into the caller-supplied
-// dst slice in place.
-type batch struct {
-	queries  []Query
-	dst      []Decision
-	resp     chan struct{}
-	enqueued time.Time
+// slot is one decision slot — a simulated processor: an uncached MMU
+// reading through rd, its registered snapshot reader, and the counters
+// its decisions feed. A caller holds a slot for one batch; taking and
+// releasing busy orders successive holders, so nothing else needs a
+// lock.
+type slot struct {
+	busy atomic.Bool
+	_    [56]byte // callers scanning for a free slot read busy; keep it off the holder's lines
+
+	index  int
+	u      *mmu.MMU
+	rd     *reader
+	counts counters
+	events trace.AtomicCounters // fed by u's trace sink
 }
 
-// worker is one decision worker: a goroutine owning an MMU whose
-// descriptor fetches resolve from rd, its registered epoch-counted
-// snapshot reader. The read path takes no locks: rd pins each
-// consulted shard's snapshot once per batch (rcu.go).
-type worker struct {
-	index int
-	u     *mmu.MMU
-	rd    *reader
+// closedBit marks Service.inflight once Close has begun; the bits
+// below it count admitted batches.
+const closedBit = 1 << 62
 
-	// statsMu guards published, the worker's reader counters copied
-	// out after every batch so /metrics can read them without racing
-	// the owner goroutine.
-	statsMu   sync.Mutex
-	published ReaderSnapshot //ring:guarded statsMu
-}
-
-// Service is the concurrent protection-decision engine: a worker pool
-// over one Store, fed by a bounded batch queue.
+// Service is the concurrent protection-decision engine: decision slots
+// over one Store. Every batch is pinned, evaluated and unpinned on the
+// goroutine that submits it.
 type Service struct {
-	store     *Store
-	cfg       Config
-	queue     chan *batch
-	workers   []*worker
-	events    *trace.AtomicCounters
-	metrics   *Metrics
-	batchPool sync.Pool
+	store *Store
+	cfg   Config
+	slots []*slot
+	// wake carries release notices to callers waiting for a slot. One
+	// buffered notice per slot lets a burst of releases wake as many
+	// waiters as it frees slots; a release that finds the buffer full
+	// drops its notice, as a pending one already makes a waiter rescan
+	// (and pass a notice on when it releases in turn).
+	wake chan struct{}
+	// born is the monotonic origin of batch timing: time.Since(born)
+	// reads one clock, where time.Now reads two.
+	born time.Time
 
-	mu     sync.RWMutex // guards closed vs. queue sends
-	closed bool         //ring:guarded mu
-	wg     sync.WaitGroup
+	// inflight counts admitted batches (at most Workers+QueueDepth),
+	// plus closedBit once Close has begun; waiting counts admitted
+	// callers blocked on a free slot; rejected counts callers shed at
+	// admission.
+	inflight atomic.Int64
+	waiting  atomic.Int64
+	rejected atomic.Uint64
 
-	// hold, when non-nil (tests), blocks each worker before every batch
-	// until the channel is closed — a deterministic way to fill the
-	// queue and exercise backpressure. A worker about to park first
-	// sends on holdAck (if set), so a test can wait for the park itself
-	// rather than inferring it from queue length.
-	hold    chan struct{}
-	holdAck chan struct{}
+	// drained is closed (once, guarded by drainSignalled) when the last
+	// in-flight batch leaves a closed service.
+	drained        chan struct{}
+	drainSignalled atomic.Bool
+	closeOnce      sync.Once
 }
 
-// New starts a Service over st: Config.Workers goroutines, each with
-// its own MMU reading the store's RCU descriptor snapshots through a
-// registered epoch-counted reader.
+// New builds a Service over st with Config.Workers decision slots. It
+// starts no goroutines.
 func New(st *Store, cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -208,18 +209,15 @@ func New(st *Store, cfg Config) (*Service, error) {
 	s := &Service{
 		store:   st,
 		cfg:     cfg,
-		queue:   make(chan *batch, cfg.QueueDepth),
-		events:  &trace.AtomicCounters{},
-		metrics: newMetrics(),
+		wake:    make(chan struct{}, cfg.Workers),
+		born:    time.Now(),
+		drained: make(chan struct{}),
 	}
-	s.batchPool.New = func() any { return &batch{resp: make(chan struct{}, 1)} }
-	opt.Sink = s.events
 	for i := 0; i < cfg.Workers; i++ {
-		rd := st.newReader()
-		w := &worker{index: i, u: st.newSnapshotMMU(opt, rd), rd: rd}
-		s.workers = append(s.workers, w)
-		s.wg.Add(1)
-		go s.run(w)
+		sl := &slot{index: i, rd: st.newReader()}
+		opt.Sink = &sl.events
+		sl.u = st.newSnapshotMMU(opt, sl.rd)
+		s.slots = append(s.slots, sl)
 	}
 	return s, nil
 }
@@ -227,20 +225,17 @@ func New(st *Store, cfg Config) (*Service, error) {
 // Store returns the descriptor store the service decides against.
 func (s *Service) Store() *Store { return s.store }
 
-// Workers returns the worker-pool size.
-func (s *Service) Workers() int { return len(s.workers) }
+// Workers returns the number of decision slots.
+func (s *Service) Workers() int { return len(s.slots) }
 
-// QueueDepth returns the queue capacity.
-func (s *Service) QueueDepth() int { return cap(s.queue) }
+// QueueDepth returns the number of callers allowed to wait for a slot.
+func (s *Service) QueueDepth() int { return s.cfg.QueueDepth }
 
-// QueueLen returns the current number of queued batches.
-func (s *Service) QueueLen() int { return len(s.queue) }
-
-// Submit enqueues one batch of queries and waits for its decisions.
-// When the bounded queue is full it fails fast with ErrQueueFull
-// rather than blocking — the backpressure contract. A cancelled
-// context abandons the wait (the batch still completes; its reply
-// channel is buffered, so no worker blocks).
+// Submit evaluates one batch of queries and returns its decisions.
+// When Workers+QueueDepth batches are already in flight it fails fast
+// with ErrQueueFull rather than blocking — the backpressure contract.
+// A context cancelled while the caller waits for a free slot abandons
+// the batch with ctx.Err().
 func (s *Service) Submit(ctx context.Context, queries []Query) ([]Decision, error) {
 	ds := make([]Decision, len(queries))
 	if err := s.SubmitInto(ctx, queries, ds); err != nil {
@@ -251,14 +246,16 @@ func (s *Service) Submit(ctx context.Context, queries []Query) ([]Decision, erro
 
 // SubmitInto is the allocation-free form of Submit: decision i for
 // queries[i] is written into dst[i], which must hold at least
-// len(queries) elements. With the batch-descriptor pool warm, a
-// SubmitInto round trip performs no heap allocation (guarded by
-// TestSubmitIntoZeroAlloc).
+// len(queries) elements. The batch is evaluated on the calling
+// goroutine; a SubmitInto round trip performs no heap allocation
+// (guarded by TestSubmitIntoZeroAlloc).
 //
-// After a cancelled context the batch keeps running: the worker still
-// writes into dst and signals the (buffered) reply channel, so nothing
-// blocks, but the caller must treat dst as poisoned — discard it
-// rather than passing it to another in-flight call.
+// An admitted caller that finds every slot busy waits for one; waiters
+// are not served in arrival order (each release wakes one, which
+// rescans the slots). If ctx is done first, SubmitInto returns
+// ctx.Err() and leaves dst untouched; once a slot is held the batch
+// runs to completion. A context already done when a slot is free does
+// not stop the batch.
 //
 //ring:hotpath
 func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decision) error {
@@ -270,99 +267,100 @@ func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decisio
 		//ring:allow caller-bug path: the error itself is the allocation
 		return fmt.Errorf("service: destination holds %d decisions for %d queries", len(dst), len(queries))
 	}
-	b := s.batchPool.Get().(*batch)
-	b.queries, b.dst, b.enqueued = queries, dst[:len(queries)], time.Now()
-
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		s.putBatch(b)
+	n := s.inflight.Add(1)
+	if n&closedBit != 0 {
+		s.leave()
 		return ErrClosed
 	}
-	select {
-	case s.queue <- b:
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		s.putBatch(b)
-		s.metrics.rejected.Add(1)
+	if n > int64(s.cfg.Workers+s.cfg.QueueDepth) {
+		s.leave()
+		s.rejected.Add(1)
 		return ErrQueueFull
 	}
+	start := time.Since(s.born)
 
-	select {
-	case <-b.resp:
-		s.putBatch(b)
-		return nil
-	case <-ctx.Done():
-		// Abandon the descriptor to the garbage collector: the worker
-		// may still be writing through it.
-		return ctx.Err()
-	}
-}
-
-// putBatch drops a descriptor's references and returns it to the pool.
-//
-//ring:hotpath
-func (s *Service) putBatch(b *batch) {
-	b.queries, b.dst = nil, nil
-	s.batchPool.Put(b)
-}
-
-// Close stops accepting work, lets the workers drain every queued
-// batch, waits for them to exit, and unregisters their snapshot
-// readers so they no longer delay store reclamation. Safe to call
-// more than once.
-func (s *Service) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	close(s.queue)
-	s.mu.Unlock()
-	s.wg.Wait()
-	for _, w := range s.workers {
-		s.store.releaseReader(w.rd)
-	}
-}
-
-// run is one worker's loop: drain batches until the queue closes.
-// The loop body between taking a batch and signalling its reply is the
-// decision hot path.
-//
-//ring:hotpath
-func (s *Service) run(w *worker) {
-	defer s.wg.Done()
-	for b := range s.queue {
-		if s.hold != nil {
-			if s.holdAck != nil {
-				s.holdAck <- struct{}{}
+	sl := s.tryAcquire()
+	if sl == nil {
+		// Announce the wait before rescanning: a release that the scan
+		// misses sees waiting > 0 and sends a wake notice.
+		s.waiting.Add(1)
+		for sl = s.tryAcquire(); sl == nil; sl = s.tryAcquire() {
+			select {
+			case <-s.wake:
+			case <-ctx.Done():
+				s.waiting.Add(-1)
+				s.leave()
+				return ctx.Err()
 			}
-			<-s.hold
 		}
-		for i := range b.queries {
-			s.decide(w, &b.queries[i], &b.dst[i])
+		s.waiting.Add(-1)
+	}
+	for i := range queries {
+		s.decide(sl, &queries[i], &dst[i])
+	}
+	sl.rd.unpin() // end of batch: quiesce so mutators can reclaim
+	sl.counts.observe(time.Since(s.born) - start)
+
+	// Release after the unpin: the wake send must never run pinned.
+	sl.busy.Store(false)
+	if s.waiting.Load() != 0 {
+		select {
+		case s.wake <- struct{}{}:
+		default:
 		}
-		w.rd.unpin() // end of batch: quiesce so mutators can reclaim
-		s.metrics.observe(b)
-		w.statsMu.Lock()
-		w.published = ReaderSnapshot{Pins: w.rd.pins, Lookups: w.rd.lookups}
-		w.statsMu.Unlock()
-		b.resp <- struct{}{}
+	}
+	s.leave()
+	return nil
+}
+
+// tryAcquire takes a free slot, or returns nil when all are busy.
+//
+//ring:hotpath
+func (s *Service) tryAcquire() *slot {
+	for _, sl := range s.slots {
+		if !sl.busy.Load() && sl.busy.CompareAndSwap(false, true) {
+			return sl
+		}
+	}
+	return nil
+}
+
+// leave gives back one admission; the last batch out of a closed
+// service wakes Close.
+//
+//ring:hotpath
+func (s *Service) leave() {
+	if s.inflight.Add(-1) == closedBit && s.drainSignalled.CompareAndSwap(false, true) {
+		close(s.drained)
 	}
 }
 
-// decide evaluates one query on worker w into d, in place and without
+// Close stops admission, waits for every in-flight batch to finish,
+// and unregisters the slots' snapshot readers so they no longer delay
+// store reclamation. Safe to call more than once; every call returns
+// after the drain.
+func (s *Service) Close() {
+	s.closeOnce.Do(func() {
+		// Close counts itself in and leaves at once: whoever brings the
+		// count to zero, Close or the last batch, signals drained.
+		s.inflight.Add(closedBit + 1)
+		s.leave()
+		<-s.drained
+		for _, sl := range s.slots {
+			s.store.releaseReader(sl.rd)
+		}
+	})
+}
+
+// decide evaluates one query on slot sl into d, in place and without
 // allocating (for well-formed queries).
 //
 //ring:hotpath
 //ring:pins
-func (s *Service) decide(w *worker, q *Query, d *Decision) {
-	*d = Decision{Worker: w.index}
-	evalQuery(s.store, w.rd, w.u, q, d)
-	s.metrics.count(q.Op, d)
+func (s *Service) decide(sl *slot, q *Query, d *Decision) {
+	*d = Decision{Worker: sl.index}
+	evalQuery(s.store, sl.rd, sl.u, q, d)
+	sl.counts.count(q.Op, d)
 }
 
 // intervalLo opens the epoch interval for a decision consulting shard
@@ -392,7 +390,7 @@ func intervalHi(st *Store, rd *reader, sh int, lo uint64) uint64 {
 }
 
 // evalQuery answers q into d using unit u over store st — the whole
-// decision procedure, shared by the concurrent workers (rd non-nil:
+// decision procedure, shared by the decision slots (rd non-nil:
 // every descriptor fetch and epoch report resolves from rd's pinned
 // RCU snapshots) and by single-threaded oracle replays (rd nil: live
 // core reads bracketed by live epoch loads; T12 and the sharded

@@ -216,7 +216,7 @@ func TestQueryErrors(t *testing.T) {
 				i, d.Shard, d.VersionLo, d.VersionHi)
 		}
 	}
-	if got := svc.Metrics().errors.Load(); got != uint64(len(bad)) {
+	if got := svc.Snapshot().Errors; got != uint64(len(bad)) {
 		t.Errorf("errors counter = %d, want %d", got, len(bad))
 	}
 }
@@ -236,88 +236,292 @@ func TestBatchLimit(t *testing.T) {
 	}
 }
 
-// TestBackpressure fills the bounded queue behind a held worker and
-// checks that Submit sheds with ErrQueueFull, then that held work
-// completes once released.
-func TestBackpressure(t *testing.T) {
-	st, err := NewStore(StoreConfig{}, testSegments())
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
+// occupy takes every decision slot, each counted as one admitted
+// batch, as if Workers batches were mid-evaluation. The returned
+// function (also run at test cleanup, before the service closes) hands
+// the slots back.
+func occupy(t *testing.T, svc *Service) (release func()) {
+	t.Helper()
+	held := make([]*slot, 0, svc.Workers())
+	for i := 0; i < svc.Workers(); i++ {
+		svc.inflight.Add(1)
+		held = append(held, svc.tryAcquire())
 	}
-	svc, err := New(st, Config{Workers: 1, QueueDepth: 1})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer svc.Close()
-	hold := make(chan struct{})
-	ack := make(chan struct{}, 4)
-	svc.hold, svc.holdAck = hold, ack
 	var once sync.Once
-	release := func() { once.Do(func() { close(hold) }) }
-	defer release() // a Fatal below must not leave Close waiting on a parked worker
+	release = func() {
+		once.Do(func() {
+			for _, sl := range held {
+				sl.busy.Store(false)
+				select {
+				case svc.wake <- struct{}{}:
+				default:
+				}
+				svc.leave()
+			}
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// assertIdle checks that no admission or slot leaked: nothing in
+// flight, nobody waiting, every slot free.
+func assertIdle(t *testing.T, svc *Service) {
+	t.Helper()
+	if n := svc.inflight.Load(); n != 0 {
+		t.Errorf("admitted count = %d after all callers returned, want 0", n)
+	}
+	if n := svc.waiting.Load(); n != 0 {
+		t.Errorf("waiting count = %d after all callers returned, want 0", n)
+	}
+	for _, sl := range svc.slots {
+		if sl.busy.Load() {
+			t.Errorf("slot %d still busy", sl.index)
+		}
+	}
+}
+
+// TestBackpressure occupies the only slot, lets one caller wait for
+// it, and checks that the next caller — beyond Workers+QueueDepth —
+// sheds with ErrQueueFull; the waiter completes once the slot is back.
+func TestBackpressure(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1, QueueDepth: 1})
+	release := occupy(t, svc)
 
 	qs := []Query{{Op: OpAccess, Ring: 3, Segment: "data", Kind: core.AccessRead}}
-	results := make(chan error, 2)
-	submit := func() {
+	result := make(chan error, 1)
+	go func() {
 		_, err := svc.Submit(context.Background(), qs)
-		results <- err
-	}
+		result <- err
+	}()
+	waitFor(t, "caller to wait for a slot", func() bool { return svc.Snapshot().QueueLen == 1 })
 
-	// First batch: the worker pulls it and parks on hold (the ack tells
-	// us the park has happened, so this cannot race the next submit).
-	go submit()
-	<-ack
-
-	// Second batch: sits in the queue; the worker cannot pull it.
-	go submit()
-	waitFor(t, "second batch to queue", func() bool { return svc.QueueLen() == 1 })
-
-	// Third batch: queue full — backpressure.
 	if _, err := svc.Submit(context.Background(), qs); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Submit on full queue: err = %v, want ErrQueueFull", err)
+		t.Fatalf("Submit beyond the admission bound: err = %v, want ErrQueueFull", err)
 	}
 	if got := svc.Snapshot().Rejected; got != 1 {
 		t.Errorf("Rejected = %d, want 1", got)
 	}
 
-	// Release the worker: both held batches complete without error.
 	release()
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-results:
-			if err != nil {
-				t.Errorf("held batch %d: %v", i, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("held batches did not complete after release")
+	select {
+	case err := <-result:
+		if err != nil {
+			t.Errorf("waiting batch: %v", err)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiting batch did not complete after release")
 	}
+	assertIdle(t, svc)
 }
 
-// TestSubmitContextCancelled checks that an abandoned wait returns the
-// context error while the batch still completes (buffered reply).
+// TestSubmitContextCancelled checks that a caller whose context is
+// already done when it must wait for a slot returns the context error
+// without writing dst.
 func TestSubmitContextCancelled(t *testing.T) {
-	st, err := NewStore(StoreConfig{}, testSegments())
-	if err != nil {
-		t.Fatalf("NewStore: %v", err)
-	}
-	svc, err := New(st, Config{Workers: 1, QueueDepth: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	hold := make(chan struct{})
-	svc.hold = hold
+	svc := newTestService(t, Config{Workers: 1, QueueDepth: 2})
+	release := occupy(t, svc)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	qs := []Query{{Op: OpAccess, Ring: 3, Segment: "data", Kind: core.AccessRead}}
-	if _, err := svc.Submit(ctx, qs); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Submit with cancelled ctx: err = %v, want context.Canceled", err)
+	dst := []Decision{{Err: "untouched"}}
+	if err := svc.SubmitInto(ctx, qs, dst); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SubmitInto with cancelled ctx: err = %v, want context.Canceled", err)
 	}
-	// The worker must still be able to drain the abandoned batch and
-	// exit: Close would hang otherwise.
-	close(hold)
-	svc.Close()
+	if dst[0] != (Decision{Err: "untouched"}) {
+		t.Errorf("cancelled SubmitInto wrote dst: %+v", dst[0])
+	}
+	release()
+	assertIdle(t, svc)
+}
+
+// TestAdmissionShedsExcess runs more callers than Workers+QueueDepth.
+// With every slot occupied the admission bound is exact: QueueDepth
+// callers wait, the rest shed with ErrQueueFull and are counted. Then
+// unsynchronized callers hammer the service; afterwards no admission
+// or slot has leaked.
+func TestAdmissionShedsExcess(t *testing.T) {
+	const workers, depth, callers = 2, 3, 12
+	svc := newTestService(t, Config{Workers: workers, QueueDepth: depth})
+	release := occupy(t, svc)
+
+	qs := []Query{{Op: OpAccess, Ring: 4, Segment: "data", Kind: core.AccessRead}}
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			_, err := svc.Submit(context.Background(), qs)
+			errs <- err
+		}()
+	}
+	for i := 0; i < callers-depth; i++ {
+		if err := <-errs; !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("caller beyond the bound: err = %v, want ErrQueueFull", err)
+		}
+	}
+	waitFor(t, "waiters to queue", func() bool { return svc.Snapshot().QueueLen == depth })
+	if got := svc.Snapshot().Rejected; got != callers-depth {
+		t.Errorf("Rejected = %d, want %d", got, callers-depth)
+	}
+	release()
+	for i := 0; i < depth; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("admitted caller: %v", err)
+		}
+	}
+	assertIdle(t, svc)
+
+	// Unsynchronized load: every call either decides or sheds, and the
+	// shed count is exactly what the callers saw.
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	ok, shed := 0, 0
+	for c := 0; c < 16; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make([]Decision, 1)
+			for i := 0; i < 200; i++ {
+				err := svc.SubmitInto(context.Background(), qs, dst)
+				mu.Lock()
+				switch {
+				case err == nil && dst[0].Allowed:
+					ok++
+				case errors.Is(err, ErrQueueFull):
+					shed++
+				default:
+					t.Errorf("SubmitInto: err = %v, decision %+v", err, dst[0])
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	snap := svc.Snapshot()
+	if got := int(snap.Rejected) - (callers - depth); got != shed {
+		t.Errorf("Rejected grew by %d, callers saw %d sheds", got, shed)
+	}
+	if got := int(snap.Batches) - depth; got != ok {
+		t.Errorf("Batches grew by %d, callers saw %d decided batches", got, ok)
+	}
+	assertIdle(t, svc)
+}
+
+// TestWaitersNeverStall runs many more callers than slots, all within
+// the admission bound, so most calls wait: every one must be woken and
+// decided — a lost wake-up would hang the test.
+func TestWaitersNeverStall(t *testing.T) {
+	const callers, rounds = 24, 500
+	for _, workers := range []int{1, 3} {
+		svc := newTestService(t, Config{Workers: workers, QueueDepth: callers})
+		qs := []Query{{Op: OpAccess, Ring: 4, Segment: "data", Kind: core.AccessRead}}
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dst := make([]Decision, 1)
+				for i := 0; i < rounds; i++ {
+					if err := svc.SubmitInto(context.Background(), qs, dst); err != nil {
+						t.Errorf("SubmitInto: %v", err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if got := svc.Snapshot().Batches; got != callers*rounds {
+			t.Errorf("%d slots: batches = %d, want %d", workers, got, callers*rounds)
+		}
+		assertIdle(t, svc)
+	}
+}
+
+// TestSubmitCancelledWhileWaiting cancels a caller parked on a free
+// slot: it returns ctx.Err(), leaves dst untouched and gives back its
+// admission.
+func TestSubmitCancelledWhileWaiting(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 2, QueueDepth: 3})
+	release := occupy(t, svc)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	qs := []Query{{Op: OpAccess, Ring: 4, Segment: "data", Kind: core.AccessRead}}
+	dst := []Decision{{Err: "untouched"}}
+	result := make(chan error, 1)
+	go func() { result <- svc.SubmitInto(ctx, qs, dst) }()
+	waitFor(t, "caller to wait for a slot", func() bool { return svc.Snapshot().QueueLen == 1 })
+
+	cancel()
+	if err := <-result; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
+	}
+	if dst[0] != (Decision{Err: "untouched"}) {
+		t.Errorf("cancelled waiter wrote dst: %+v", dst[0])
+	}
+	if n := svc.inflight.Load(); n != int64(svc.Workers()) {
+		t.Errorf("admitted count = %d, want %d (the occupied slots only)", n, svc.Workers())
+	}
+	release()
+	assertIdle(t, svc)
+	if _, err := svc.Submit(context.Background(), qs); err != nil {
+		t.Fatalf("Submit after cancelled waiter: %v", err)
+	}
+}
+
+// TestCloseWaitsForInFlight starts Close while a batch is admitted and
+// waiting for a slot: admission stops at once, Close blocks until that
+// batch has been decided, then releases every reader.
+func TestCloseWaitsForInFlight(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 2, QueueDepth: 3})
+	release := occupy(t, svc)
+
+	qs := []Query{{Op: OpAccess, Ring: 4, Segment: "data", Kind: core.AccessRead}}
+	dst := make([]Decision, 1)
+	result := make(chan error, 1)
+	go func() { result <- svc.SubmitInto(context.Background(), qs, dst) }()
+	waitFor(t, "caller to wait for a slot", func() bool { return svc.Snapshot().QueueLen == 1 })
+
+	closed := make(chan struct{})
+	go func() {
+		svc.Close()
+		close(closed)
+	}()
+	// Probe admission with a done context, so a probe admitted before
+	// Close begins returns at once instead of waiting for a slot.
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	waitFor(t, "Close to stop admission", func() bool {
+		_, err := svc.Submit(done, qs)
+		return errors.Is(err, ErrClosed)
+	})
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a batch still in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if got := svc.Store().RCUStats().Readers; got != svc.Workers() {
+		t.Errorf("readers = %d while draining, want %d", got, svc.Workers())
+	}
+
+	release()
+	if err := <-result; err != nil {
+		t.Fatalf("in-flight batch: %v", err)
+	}
+	if !dst[0].Allowed {
+		t.Errorf("in-flight batch decided %+v, want allowed", dst[0])
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the in-flight batch finished")
+	}
+	if got := svc.Store().RCUStats().Readers; got != 0 {
+		t.Errorf("readers = %d after Close, want 0", got)
+	}
+	if _, err := svc.Submit(context.Background(), qs); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
+	}
 }
 
 // TestGracefulShutdown checks that Close drains queued work and that
@@ -369,6 +573,15 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// oracleMMU builds an uncached unit reading st's descriptors straight
+// from core — the single-threaded oracle replays pass it to evalQuery
+// with no snapshot reader.
+func oracleMMU(st *Store) *mmu.MMU {
+	u := mmu.New(st.mem, mmu.Options{Validate: true})
+	u.SetDBR(st.dbr)
+	return u
 }
 
 // shardScript is segment segno's mutation sequence for the sharded
@@ -436,7 +649,7 @@ func stripDecision(d Decision) Decision {
 
 // TestShardedConcurrentOracle extends the T12 differential property to
 // the sharded store: one mutator goroutine per shard streams descriptor
-// edits while four workers answer single-segment probes. Every decision
+// edits while four decision slots answer single-segment probes. Every decision
 // reports the epoch interval of the shard it consulted; replaying that
 // shard's script single-threaded, the decision must be identical to the
 // oracle's answer at some state within the interval — regardless of
@@ -528,10 +741,7 @@ func TestShardedConcurrentOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle NewStore: %v", err)
 		}
-		u, err := ost.NewWorkerMMU(mmu.Options{Validate: true})
-		if err != nil {
-			t.Fatalf("oracle MMU: %v", err)
-		}
+		u := oracleMMU(ost)
 		oracle[g] = make([][]Decision, mutations+1)
 		for k := 0; k <= mutations; k++ {
 			if k > 0 {
@@ -662,10 +872,7 @@ func TestBlockedMutationDoesNotBlockReaders(t *testing.T) {
 				t.Fatalf("oracle Revoke: %v", err)
 			}
 		}
-		u, err := ost.NewWorkerMMU(mmu.Options{Validate: true})
-		if err != nil {
-			t.Fatalf("oracle MMU: %v", err)
-		}
+		u := oracleMMU(ost)
 		states[k] = make([]Decision, len(probes))
 		for i := range probes {
 			evalQuery(ost, nil, u, &probes[i], &states[k][i])
@@ -728,15 +935,15 @@ func TestBlockedMutationDoesNotBlockReaders(t *testing.T) {
 }
 
 // TestSubmitIntoZeroAlloc is the hot-path allocation budget: one
-// warm-pool SubmitInto round trip — queue, decide, reply — performs
-// zero heap allocations, on the submitter and worker side combined.
+// SubmitInto round trip — admit, take a slot, decide, give it back —
+// performs zero heap allocations.
 // CI runs this as its allocation-regression gate.
 func TestSubmitIntoZeroAlloc(t *testing.T) {
 	svc := newTestService(t, Config{Workers: 1})
 	ctx := context.Background()
 	queries := []Query{{Op: OpAccess, Ring: 4, Segment: "data", Wordno: 5, Kind: core.AccessRead}}
 	dst := make([]Decision, len(queries))
-	for i := 0; i < 8; i++ { // warm the descriptor pool and the SDW cache
+	for i := 0; i < 8; i++ { // warm up
 		if err := svc.SubmitInto(ctx, queries, dst); err != nil {
 			t.Fatalf("warm-up SubmitInto: %v", err)
 		}
@@ -861,7 +1068,7 @@ func TestMetricsSnapshot(t *testing.T) {
 		t.Errorf("per-worker read entries = %d, want 2", len(snap.PerWorkerReads))
 	}
 	if snap.RCU.Readers != 2 {
-		t.Errorf("registered readers = %d, want 2 (one per worker)", snap.RCU.Readers)
+		t.Errorf("registered readers = %d, want 2 (one per decision slot)", snap.RCU.Readers)
 	}
 	if len(snap.LatencyNs) == 0 {
 		t.Error("latency histogram empty")

@@ -14,12 +14,12 @@
 //     every run-time descriptor edit flows. Each shard additionally
 //     publishes its descriptors as an immutable RCU snapshot behind an
 //     atomic pointer (see rcu.go);
-//   - a Service runs a pool of workers, each a goroutine owning its own
-//     MMU pointed at an epoch-counted snapshot reader — the paper's
-//     several-processors-sharing-core configuration, with the
-//     descriptor state distributed as published configurations instead
-//     of coherently-cached mutable core — consuming batches of queries
-//     from a bounded queue with backpressure;
+//   - a Service holds decision slots, each an MMU pointed at an
+//     epoch-counted snapshot reader — the paper's several processors
+//     sharing core. There is no queue and no worker goroutine: as the
+//     paper's processor validates inline in the reference path, a
+//     caller takes a free slot and decides its batch on its own
+//     goroutine. At most Workers+QueueDepth batches are admitted;
 //   - a Server speaks HTTP/JSON on top (see http.go) with /healthz and
 //     /metrics endpoints.
 //
@@ -34,9 +34,9 @@
 // to quiesce the whole store must take the shard locks in ascending
 // index order.
 //
-// Decision workers never lock: each worker pins, per batch, the
-// current snapshot of every shard it consults (one atomic pointer load
-// per shard per batch) and decides against that immutable table. A
+// Decisions never lock: the goroutine holding a slot pins, per batch,
+// the current snapshot of every shard it consults (one atomic pointer
+// load per shard per batch) and decides against that immutable table. A
 // blocked or slow mutation therefore never delays a decision — readers
 // keep answering from the last published snapshot. Mutators serialize
 // per shard, write core (still authoritative for the CPU-simulator
@@ -88,7 +88,7 @@ type StoreConfig struct {
 	MaxSegments int
 	// Shards is the number of descriptor-store shards (a power of two,
 	// at most 64); default 8. Each shard serializes mutations of its own
-	// descriptors under its own lock and epoch, so decision workers and
+	// descriptors under its own lock and epoch, so decisions and
 	// supervisor edits touching different shards never contend.
 	Shards int
 	// ShardsSet forces Shards to be honoured even when zero (invalid —
@@ -142,13 +142,11 @@ type shardRCUStats struct {
 
 // Store is the shared descriptor state of a decision service: the
 // word-atomic core holding the descriptor segment and segment bodies,
-// the coherence group every worker MMU joins, and the sharded
-// supervisor units through which all mutations flow.
+// and the sharded supervisor units through which all mutations flow.
 type Store struct {
 	mem   *mem.Atomic
 	alloc *mem.Allocator
 	dbr   seg.DBR
-	group *mmu.Group
 
 	shards    []shard
 	shardMask uint32
@@ -197,7 +195,6 @@ func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
 		mem:       m,
 		alloc:     mem.NewAllocator(cfg.MemWords, 2*cfg.MaxSegments),
 		dbr:       seg.DBR{Addr: 0, Bound: uint32(cfg.MaxSegments)},
-		group:     mmu.NewGroup(),
 		shards:    make([]shard, cfg.Shards),
 		shardMask: uint32(cfg.Shards - 1),
 		shardBits: uint32(bits.TrailingZeros32(uint32(cfg.Shards))),
@@ -207,7 +204,6 @@ func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
 	for i := range st.shards {
 		sup := mmu.New(m, mmu.Options{Validate: true})
 		sup.SetDBR(st.dbr)
-		st.group.Join(sup)
 		st.shards[i].sup = sup
 	}
 
@@ -269,23 +265,10 @@ func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
 	return st, nil
 }
 
-// NewWorkerMMU creates one worker's MMU over the shared core, running
-// the store's descriptor segment and joined to its coherence group. The
-// returned unit must be owned by a single goroutine.
-func (st *Store) NewWorkerMMU(opt mmu.Options) (*mmu.MMU, error) {
-	if err := opt.Check(); err != nil {
-		return nil, err
-	}
-	u := mmu.New(st.mem, opt)
-	u.SetDBR(st.dbr)
-	st.group.Join(u)
-	return u, nil
-}
-
-// newSnapshotMMU builds one decision worker's MMU: no associative
-// memory, no coherence-group membership — every descriptor fetch
-// resolves from rd's pinned RCU snapshots instead of core. The
-// returned unit (and rd) must be owned by a single goroutine.
+// newSnapshotMMU builds one decision slot's MMU: no associative
+// memory — every descriptor fetch resolves from rd's pinned RCU
+// snapshots instead of core. The returned unit (and rd) must be used
+// by one goroutine at a time.
 func (st *Store) newSnapshotMMU(opt mmu.Options, rd *reader) *mmu.MMU {
 	opt.CacheSize = 0
 	u := mmu.New(st.mem, opt)
@@ -304,9 +287,6 @@ func (st *Store) Segno(name string) (uint32, bool) {
 
 // Segments returns the segment names in segment-number order.
 func (st *Store) Segments() []string { return st.segnos }
-
-// MaxSegments returns the descriptor-segment bound.
-func (st *Store) MaxSegments() uint32 { return st.dbr.Bound }
 
 // Shards returns the shard count.
 func (st *Store) Shards() int { return len(st.shards) }
@@ -346,7 +326,7 @@ func (st *Store) Version() uint64 {
 // through the supervisor MMU (StoreSDW — core stays authoritative for
 // the CPU-simulator path and its shootdown protocol); on success the
 // shard's RCU snapshot is rebuilt copy-on-write and published with the
-// closing (even) epoch, so decision workers pick up the edit on their
+// closing (even) epoch, so decisions pick up the edit on their
 // next batch without ever locking. A failed edit publishes nothing and
 // leaves the old snapshot current.
 func (st *Store) mutate(segno uint32, f func(sup *mmu.MMU) error) error {
@@ -377,19 +357,10 @@ func (st *Store) SetPublishHook(f func(shard int, segno uint32, epoch uint64)) {
 	st.publishHook.Store(&f)
 }
 
-// SDW fetches the current descriptor of segno through its shard's
-// (uncached) supervisor unit, serialized against that shard's edits.
-func (st *Store) SDW(segno uint32) (seg.SDW, error) {
-	sh := st.shardFor(segno)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.sup.FetchSDW(segno)
-}
-
 // SetBrackets replaces the flags, brackets and gate count of segno,
 // keeping its placement. Supervisor functionality: the edit goes
-// through StoreSDW, so every worker's associative memory sees it before
-// its next fetch of that descriptor.
+// through StoreSDW and publishes a fresh shard snapshot, which every
+// batch pinned after the publication sees.
 func (st *Store) SetBrackets(segno uint32, read, write, execute bool, b core.Brackets, gates uint32) error {
 	return st.mutate(segno, func(sup *mmu.MMU) error {
 		sdw, err := sup.FetchSDW(segno)

@@ -1,7 +1,7 @@
 // Package tenant multiplexes many independent descriptor spaces over
 // one decision daemon: an image registry in which every loaded machine
 // image becomes a tenant with its own service.Store shard group, its
-// own decision worker pool, and its own bounded queue.
+// own decision slots, and its own admission bound.
 //
 // The paper's ring hardware multiplexes many mutually-suspicious
 // protection domains over a single validation mechanism; the modern
@@ -29,21 +29,21 @@
 //	    mutations answer ErrSealed (HTTP 409). Sealing is the service
 //	    analogue of handing a subsystem a read-only descriptor segment.
 //	  - draining: eviction has begun — no new batches are accepted
-//	    (ErrDraining, HTTP 409 for mutations), queued batches complete,
-//	    and the worker pool shuts down, which unregisters every RCU
+//	    (ErrDraining, HTTP 409 for mutations), in-flight batches
+//	    complete, and the service closes, which unregisters every RCU
 //	    reader and lets the store's grace periods complete.
 //	  - evicted: the tenant is gone from the registry; its store is
 //	    unreachable and collectable.
 //
 // # Isolation
 //
-// Each tenant owns a full service.Service: its own worker goroutines,
-// its own bounded batch queue, its own RCU reader registrations. A hot
-// tenant that saturates its quota fills its own queue and sheds with
-// ErrQueueFull; tenants on other worker pools keep deciding at their
-// own pace (experiment T15 measures exactly this). The registry's
-// worker budget bounds the total goroutine count so loading tenants
-// cannot oversubscribe the host.
+// Each tenant owns a full service.Service: its own decision slots, its
+// own admission bound, its own RCU reader registrations, and no
+// goroutines (decisions run on the caller's). A hot tenant that
+// saturates its slots sheds with ErrQueueFull; other tenants keep
+// deciding at their own pace (experiment T15 measures exactly this).
+// The registry's worker budget bounds the total slot count so loading
+// tenants cannot oversubscribe the host.
 package tenant
 
 import (
@@ -119,11 +119,11 @@ var (
 // TenantConfig sizes one tenant's decision service. Zero fields take
 // the registry's defaults.
 type TenantConfig struct {
-	// Workers is the tenant's decision worker quota — the number of
-	// goroutines (one snapshot-reading MMU each) it may occupy.
+	// Workers is the tenant's decision slot quota — the number of
+	// batches (one snapshot-reading MMU each) it decides at once.
 	Workers int
-	// QueueDepth bounds the tenant's batch queue; overload sheds with
-	// service.ErrQueueFull instead of starving other tenants.
+	// QueueDepth is how many more callers may wait for a slot; beyond
+	// that, overload sheds with service.ErrQueueFull.
 	QueueDepth int
 	// BatchLimit caps queries per batch.
 	BatchLimit int
@@ -206,7 +206,7 @@ func (t *Tenant) checkable() error {
 }
 
 // SubmitInto answers a batch of queries in place (dst[i] answers
-// queries[i]) through the tenant's worker pool. One atomic state load
+// queries[i]) on one of the tenant's slots. One atomic state load
 // guards the tenant lifecycle; beyond that the call is exactly the
 // zero-allocation service.SubmitInto hot path, so the per-tenant check
 // path stays 0 allocs/op (gated by TestTenantCheckZeroAlloc).
@@ -446,8 +446,8 @@ func (r *Registry) Seal(name string) error {
 }
 
 // Evict removes the named tenant: the state moves to draining (new
-// work is rejected from that instant), every queued batch completes,
-// the worker pool exits — unregistering its RCU readers, so the
+// work is rejected from that instant), every in-flight batch
+// completes, the service closes — unregistering its RCU readers, so the
 // store's snapshot grace periods complete — and the name is released.
 // Evict returns after the drain; a concurrent Evict of the same tenant
 // returns ErrDraining immediately.
@@ -473,9 +473,9 @@ func (r *Registry) Evict(name string) error {
 	if t.hub != nil {
 		t.hub.close()
 	}
-	// Drain outside any registry lock: Close waits for the workers to
-	// finish every queued batch and then releases their snapshot
-	// readers, completing the RCU grace period.
+	// Drain outside any registry lock: Close waits for every in-flight
+	// batch and then releases the slots' snapshot readers, completing
+	// the RCU grace period.
 	t.svc.Close()
 	t.state.Store(int32(StateEvicted))
 	r.unregister(t)

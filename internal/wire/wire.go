@@ -9,7 +9,7 @@
 // the network edge. A client opens one session, binds it to a tenant,
 // and pipelines check frames continuously; responses carry the client's
 // correlation IDs and may complete out of order, so the session keeps
-// every decision worker busy without per-request connections, headers
+// every decision slot busy without per-request connections, headers
 // or JSON.
 //
 // # Frame layout

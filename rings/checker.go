@@ -42,8 +42,8 @@ const (
 
 // Checker errors, re-exported from the decision service.
 var (
-	// ErrQueueFull reports that the bounded decision queue was at
-	// capacity — shed or retry.
+	// ErrQueueFull reports that Workers+QueueDepth checks were already
+	// in flight — shed or retry.
 	ErrQueueFull = service.ErrQueueFull
 	// ErrClosed reports a Check after Close.
 	ErrClosed = service.ErrClosed
@@ -54,8 +54,9 @@ var (
 // Checker answers protection queries against a descriptor image
 // without running any simulated program: the paper's validation
 // hardware packaged as a policy-decision point. It wraps the decision
-// service with a single worker, so decisions are strictly ordered with
-// respect to mutations made through the same Checker.
+// service, which evaluates each Check on the calling goroutine: a
+// mutation made through the Checker is visible to every Check the same
+// goroutine makes after it returns, whatever the slot count.
 //
 //	chk, err := rings.NewChecker([]rings.Segment{
 //	    {Name: "data", Size: 64, Read: true, Write: true,
@@ -71,17 +72,20 @@ type Checker struct {
 }
 
 // CheckerConfig sizes a Checker built with NewCheckerWith. The zero
-// value matches NewChecker: one worker, default queue and shard
+// value matches NewChecker: one decision slot, default queue and shard
 // counts.
 type CheckerConfig struct {
-	// Workers is the decision worker-pool size; default 1. Workers
-	// read immutable RCU descriptor snapshots pinned per batch, so
-	// with more than one worker decisions never lock against
-	// mutations; ordering between batches and mutations is up to the
-	// scheduler (each Decision reports the publication epoch of the
-	// shard snapshot it consulted).
+	// Workers is the number of concurrent decision slots — Check calls
+	// evaluated at once, each on its caller's goroutine; default 1.
+	// Slots read immutable RCU descriptor snapshots pinned per batch,
+	// so decisions never lock against mutations. A Check made after a
+	// mutation returns, by the same goroutine, sees it for any slot
+	// count; between goroutines, ordering is up to the scheduler (each
+	// Decision reports the publication epoch of the shard snapshot it
+	// consulted).
 	Workers int
-	// QueueDepth bounds the batch queue; a full queue makes Check fail
+	// QueueDepth is the number of callers allowed to wait for a free
+	// slot; beyond Workers+QueueDepth concurrent calls, Check fails
 	// fast with service.ErrQueueFull.
 	QueueDepth int
 	// BatchLimit caps the number of queries per Check call.
@@ -92,14 +96,14 @@ type CheckerConfig struct {
 }
 
 // NewChecker builds a descriptor image from segs (numbered in order
-// from 0) and starts a single-worker decision service over it. Close
+// from 0) and builds a single-slot decision service over it. Close
 // the Checker when done.
 func NewChecker(segs []Segment) (*Checker, error) {
 	return NewCheckerWith(CheckerConfig{}, segs)
 }
 
-// NewCheckerWith is NewChecker with explicit sizing — worker pool,
-// queue and descriptor-store shards. cmd/ringload uses it to drive the
+// NewCheckerWith is NewChecker with explicit sizing — decision slots,
+// waiting callers and descriptor-store shards. cmd/ringload uses it to drive the
 // decision path in-process at configurable parallelism.
 func NewCheckerWith(cfg CheckerConfig, segs []Segment) (*Checker, error) {
 	st, err := service.NewStore(service.StoreConfig{Shards: cfg.Shards}, segs)
@@ -121,7 +125,7 @@ func NewCheckerWith(cfg CheckerConfig, segs []Segment) (*Checker, error) {
 	return &Checker{store: st, svc: svc}, nil
 }
 
-// Close stops the decision worker.
+// Close stops admitting checks and waits for those in flight.
 func (c *Checker) Close() { c.svc.Close() }
 
 // Check answers a batch of queries.
@@ -131,9 +135,8 @@ func (c *Checker) Check(queries ...Query) ([]Decision, error) {
 
 // CheckInto answers a batch of queries into a caller-supplied decision
 // slice (dst[i] answers queries[i]; dst must hold at least
-// len(queries) elements). With the service's descriptor pool warm this
-// round trip performs no heap allocation — the form load generators
-// and embedders on a hot path should use.
+// len(queries) elements). The round trip performs no heap allocation
+// — the form load generators and embedders on a hot path should use.
 //
 //ring:hotpath
 func (c *Checker) CheckInto(queries []Query, dst []Decision) error {
