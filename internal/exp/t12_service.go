@@ -36,10 +36,10 @@ func t12Segments() []service.Segment {
 	}
 }
 
-// t12Script is the supervisor's edit sequence. Every edit changes only
-// the even word of its descriptor (brackets or the present bit), so a
-// concurrent reader of the word-atomic core sees exactly the old or the
-// new descriptor, never a torn one.
+// t12Script is the supervisor's edit sequence. Every edit changes the
+// brackets or the present bit of its descriptor and is published as a
+// new shard snapshot, so a concurrent decision sees exactly the old or
+// the new descriptor.
 func t12Script(n int) []func(st *service.Store) error {
 	wide := core.Brackets{R1: 2, R2: 4, R3: 4}
 	narrow := core.Brackets{R1: 0, R2: 1, R3: 1}

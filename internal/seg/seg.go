@@ -49,6 +49,14 @@ const WordnoBits = 18
 // MaxBound is the largest expressible segment length.
 const MaxBound = (1 << WordnoBits) - 1
 
+// GateBits is the width of an SDW's gate count field.
+const GateBits = 14
+
+// MaxGate is the largest expressible gate count. Validate rejects a
+// larger count, which Encode would otherwise truncate to its low
+// GateBits bits.
+const MaxGate = (1 << GateBits) - 1
+
 // AddrBits is the width of an absolute core address in an SDW.
 const AddrBits = 24
 
@@ -92,6 +100,9 @@ func (s SDW) Validate() error {
 	if s.Gate > s.Bound {
 		return fmt.Errorf("seg: gate count %d exceeds bound %d", s.Gate, s.Bound)
 	}
+	if s.Gate > MaxGate {
+		return fmt.Errorf("seg: gate count %d exceeds %d", s.Gate, MaxGate)
+	}
 	if s.Addr >= 1<<AddrBits {
 		return fmt.Errorf("seg: address %o exceeds %d bits", s.Addr, AddrBits)
 	}
@@ -110,7 +121,7 @@ func (s SDW) Encode() (even, odd word.Word) {
 		WithBit(35, s.Read).
 		WithBit(34, s.Write).
 		WithBit(33, s.Execute).
-		Deposit(18, 14, uint64(s.Gate)).
+		Deposit(18, GateBits, uint64(s.Gate)).
 		Deposit(0, 18, uint64(s.Bound))
 	return even, odd
 }
@@ -128,7 +139,7 @@ func Decode(even, odd word.Word) SDW {
 		Read:    odd.Bit(35),
 		Write:   odd.Bit(34),
 		Execute: odd.Bit(33),
-		Gate:    uint32(odd.Field(18, 14)),
+		Gate:    uint32(odd.Field(18, GateBits)),
 		Bound:   uint32(odd.Field(0, 18)),
 	}
 }

@@ -84,6 +84,21 @@ func TestSDWValidate(t *testing.T) {
 	if (SDW{}).Validate() != nil {
 		t.Error("absent SDW should validate")
 	}
+	// The gate field is GateBits wide: a larger count within the bound
+	// would be truncated by Encode, so Validate must refuse it.
+	bad = s
+	bad.Bound, bad.Gate = MaxBound, MaxGate+1
+	if bad.Validate() == nil {
+		t.Error("gate count above MaxGate accepted")
+	}
+	ok := s
+	ok.Bound, ok.Gate = MaxBound, MaxGate
+	if err := ok.Validate(); err != nil {
+		t.Errorf("gate count MaxGate rejected: %v", err)
+	}
+	if got := Decode(ok.Encode()); got.Gate != MaxGate {
+		t.Errorf("MaxGate round trip: got %d", got.Gate)
+	}
 }
 
 func TestDBRRoundTrip(t *testing.T) {

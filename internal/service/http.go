@@ -17,7 +17,8 @@ import (
 //	                   for a body too large for BatchLimit queries,
 //	                   503 once closed
 //	POST /v1/mutate  — supervisor mutations (setbrackets, revoke,
-//	                   restore) through the coherent StoreSDW path
+//	                   restore), each published as a new shard
+//	                   snapshot; 400 for an invalid descriptor
 //	GET  /healthz    — liveness and image shape
 //	GET  /metrics    — decision counts, faults by kind, cache and
 //	                   latency counters (JSON)

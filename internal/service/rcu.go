@@ -20,11 +20,12 @@ import (
 // Lifecycle of a shard snapshot:
 //
 //  1. Build. A mutator, holding the shard mutex with the shard epoch
-//     odd, applies its edit to the descriptor segment in core through
-//     StoreSDW (core stays authoritative for the CPU-simulator path),
-//     then copies the current snapshot's SDW table into a buffer —
-//     reused from the shard free list when one is available — and
-//     folds in the edited descriptor.
+//     odd, edits a copy of the target descriptor taken from the
+//     current snapshot — the snapshots are the store's only copy of
+//     the descriptors — and validates it. It then copies the current
+//     snapshot's SDW table into a buffer — reused from the shard free
+//     list when one is available — and folds in the edited
+//     descriptor.
 //  2. Publish. One atomic pointer store makes the new table, stamped
 //     with the closing (even) epoch, the shard's current snapshot.
 //     The predecessor is retired, recording its successor's
@@ -218,27 +219,18 @@ func (st *Store) releaseReader(r *reader) {
 }
 
 // publishLocked builds and publishes the successor snapshot of shard
-// index shi after a successful descriptor edit of segno, then retires
-// the predecessor and attempts reclamation. Caller holds sh.mu with
-// the shard epoch odd; epoch is the closing (even) epoch the new
-// snapshot is stamped with.
+// index shi holding sdw as the descriptor of segno, then retires the
+// predecessor and attempts reclamation. Caller holds sh.mu with the
+// shard epoch odd; epoch is the closing (even) epoch the new snapshot
+// is stamped with.
 //
 //ring:locked mu
-func (st *Store) publishLocked(shi int, segno uint32, epoch uint64) error {
+func (st *Store) publishLocked(shi int, segno uint32, sdw seg.SDW, epoch uint64) {
 	sh := &st.shards[shi]
 	old := sh.snap.Load()
 	buf := sh.takeBufLocked(len(old.sdws))
 	copy(buf, old.sdws)
-	sdw, err := sh.sup.FetchSDW(segno) // re-read the edited descriptor from core
-	if err != nil {
-		// Core is unreadable — a simulator integrity fault. Return the
-		// buffer and leave the old snapshot current.
-		sh.putBufLocked(buf)
-		return err
-	}
-	if idx := int(segno >> st.shardBits); idx < len(buf) {
-		buf[idx] = sdw
-	}
+	buf[segno>>st.shardBits] = sdw
 	next := &snapshot{epoch: epoch, sdws: buf}
 	old.retireEpoch = epoch
 	sh.snap.Store(next)
@@ -261,7 +253,6 @@ func (st *Store) publishLocked(shi int, segno uint32, epoch uint64) error {
 		// whose publication it follows.
 		(*hook)(shi, segno, epoch)
 	}
-	return nil
 }
 
 // reclaimLocked scans the registered readers and recycles the buffers

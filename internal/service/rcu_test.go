@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mmu"
 )
 
 // TestReaderPinsSnapshotAcrossMutationBurst is the grace-period test:
@@ -25,7 +24,7 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 	}
 	rd := st.newReader()
 	defer st.releaseReader(rd)
-	u := st.newSnapshotMMU(mmu.Options{Validate: true}, rd)
+	u := readerMMU(rd)
 
 	probes, _ := shardProbes()
 	pre := make([]Decision, len(probes))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -90,12 +91,11 @@ type Decision struct {
 	// Err reports a malformed query (unknown op, unknown segment name).
 	Err string `json:"err,omitempty"`
 	// VersionLo and VersionHi report the mutation epoch of the
-	// descriptor-store shard the decision consulted. Decision slots
-	// read RCU snapshots, so both fields carry the (even) publication
-	// epoch of the pinned snapshot — a degenerate interval meaning a
-	// clean snapshot of that shard at that version (see the package
-	// comment). Single-threaded oracle replays against live core may
-	// still report a widened (or odd) interval.
+	// descriptor-store shard the decision consulted. Decisions read
+	// RCU snapshots, the store's only copy of the descriptors, so both
+	// fields carry the (even) publication epoch of the pinned snapshot
+	// — a degenerate interval meaning a clean snapshot of that shard at
+	// that version (see the package comment).
 	VersionLo uint64 `json:"version_lo"`
 	VersionHi uint64 `json:"version_hi"`
 	// Shard is the shard whose epoch VersionLo/VersionHi refer to.
@@ -118,10 +118,6 @@ type Config struct {
 	// QueueDepth is how many more callers may wait for a free slot;
 	// beyond that, Submit sheds with ErrQueueFull. Default 64.
 	QueueDepth int
-	// Validate disables ring validation when false and ValidateSet is
-	// true (the T5 ablation, exposed for comparison runs).
-	Validate    bool
-	ValidateSet bool
 	// BatchLimit caps the number of queries per submitted batch;
 	// default 1024.
 	BatchLimit int
@@ -202,10 +198,6 @@ func New(st *Store, cfg Config) (*Service, error) {
 	if cfg.BatchLimit <= 0 {
 		cfg.BatchLimit = 1024
 	}
-	opt := mmu.Options{Validate: true}
-	if cfg.ValidateSet {
-		opt.Validate = cfg.Validate
-	}
 	s := &Service{
 		store:   st,
 		cfg:     cfg,
@@ -214,9 +206,11 @@ func New(st *Store, cfg Config) (*Service, error) {
 		drained: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Workers; i++ {
+		// No associative memory: every descriptor fetch resolves from
+		// the slot reader's pinned snapshots.
 		sl := &slot{index: i, rd: st.newReader()}
-		opt.Sink = &sl.events
-		sl.u = st.newSnapshotMMU(opt, sl.rd)
+		sl.u = mmu.New(nil, mmu.Options{Validate: true, Sink: &sl.events})
+		sl.u.SetSDWSource(sl.rd)
 		s.slots = append(s.slots, sl)
 	}
 	return s, nil
@@ -363,40 +357,12 @@ func (s *Service) decide(sl *slot, q *Query, d *Decision) {
 	sl.counts.count(q.Op, d)
 }
 
-// intervalLo opens the epoch interval for a decision consulting shard
-// sh: the pinned snapshot's publication epoch when reading through a
-// reader (always even — a clean snapshot), the live shard epoch for
-// oracle replays with rd == nil.
-//
-//ring:hotpath
-//ring:pins
-func intervalLo(st *Store, rd *reader, sh int) uint64 {
-	if rd != nil {
-		return rd.pin(sh).epoch
-	}
-	return st.ShardVersion(sh)
-}
-
-// intervalHi closes the interval opened by intervalLo: the pinned
-// snapshot cannot change within a batch, so the reader form is
-// degenerate (Hi == Lo); oracle replays re-read the live epoch.
-//
-//ring:hotpath
-func intervalHi(st *Store, rd *reader, sh int, lo uint64) uint64 {
-	if rd != nil {
-		return lo
-	}
-	return st.ShardVersion(sh)
-}
-
 // evalQuery answers q into d using unit u over store st — the whole
-// decision procedure, shared by the decision slots (rd non-nil:
-// every descriptor fetch and epoch report resolves from rd's pinned
-// RCU snapshots) and by single-threaded oracle replays (rd nil: live
-// core reads bracketed by live epoch loads; T12 and the sharded
-// differential test). Malformed queries set d.Err and report no epoch
-// interval; architectural outcomes (violations, traps) are regular
-// decisions stamped with the consulted shard's snapshot epoch.
+// decision procedure. u must read its descriptors through rd, so every
+// descriptor fetch and epoch report resolves from rd's pinned RCU
+// snapshots. Malformed queries set d.Err and report no epoch interval;
+// architectural outcomes (violations, traps) are regular decisions
+// stamped with the consulted shard's snapshot epoch.
 //
 //ring:hotpath
 //ring:pins
@@ -429,9 +395,9 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 		}
 		sh := st.ShardOf(segno)
 		d.Shard = sh
-		d.VersionLo = intervalLo(st, rd, sh)
+		d.VersionLo = rd.pin(sh).epoch
+		d.VersionHi = d.VersionLo
 		kind, err := u.Access(segno, q.Wordno, q.Ring, q.Kind)
-		d.VersionHi = intervalHi(st, rd, sh, d.VersionLo)
 		if err != nil {
 			d.Err = err.Error()
 			return
@@ -450,9 +416,9 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 		}
 		sh := st.ShardOf(segno)
 		d.Shard = sh
-		d.VersionLo = intervalLo(st, rd, sh)
+		d.VersionLo = rd.pin(sh).epoch
+		d.VersionHi = d.VersionLo
 		dec, kind, err := u.Call(segno, q.Wordno, q.Ring, effRing, q.SameSegment)
-		d.VersionHi = intervalHi(st, rd, sh, d.VersionLo)
 		if err != nil {
 			d.Err = err.Error()
 			return
@@ -478,9 +444,9 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 		}
 		sh := st.ShardOf(segno)
 		d.Shard = sh
-		d.VersionLo = intervalLo(st, rd, sh)
+		d.VersionLo = rd.pin(sh).epoch
+		d.VersionHi = d.VersionLo
 		dec, kind, err := u.Return(segno, q.Wordno, q.Ring, effRing)
-		d.VersionHi = intervalHi(st, rd, sh, d.VersionLo)
 		if err != nil {
 			d.Err = err.Error()
 			return
@@ -499,10 +465,7 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 		// shards the indirect steps will consult, so the epoch interval
 		// can name a single shard when only one is involved. A chain
 		// spanning shards is stamped with the sum of the consulted
-		// shards' pinned snapshot epochs (reader) or bracketed by the
-		// store-wide Version sum (oracle replay), with Shard = -1.
-		sh := -1
-		single := true
+		// shards' pinned snapshot epochs, with Shard = -1.
 		var mask uint64 // consulted shard set (MaxShards ≤ 64)
 		for i := range q.Chain {
 			step := &q.Chain[i]
@@ -511,24 +474,14 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 				d.Err = fmt.Sprintf("invalid ring %d in chain", step.Ring)
 				return
 			}
-			if step.PR {
-				continue
-			}
-			s := st.ShardOf(step.Segno)
-			mask |= 1 << s
-			if sh == -1 {
-				sh = s
-			} else if sh != s {
-				single = false
+			if !step.PR {
+				mask |= 1 << st.ShardOf(step.Segno)
 			}
 		}
-		if single && sh >= 0 {
-			d.Shard = sh
-			d.VersionLo = intervalLo(st, rd, sh)
-		} else {
-			sh = -1
-			d.VersionLo = chainLo(st, rd, mask)
+		if mask != 0 && mask&(mask-1) == 0 {
+			d.Shard = bits.TrailingZeros64(mask)
 		}
+		d.VersionLo = chainLo(st, rd, mask)
 		eff := q.Ring
 		for _, step := range q.Chain {
 			if step.PR {
@@ -544,13 +497,13 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			// The indirect word itself is read during effective address
 			// formation, validated like any operand read (Figure 5).
 			if kind := u.AccessView(v, step.Segno, 0, eff, core.AccessRead); kind != core.ViolationNone {
-				d.VersionHi = chainHi(st, rd, sh, mask, d.VersionLo)
+				d.VersionHi = chainHi(st, mask, d.VersionLo)
 				d.setViolationKind(kind)
 				return
 			}
 			eff = core.EffectiveRingIndirect(eff, step.Ring, v.R1)
 		}
-		d.VersionHi = chainHi(st, rd, sh, mask, d.VersionLo)
+		d.VersionHi = chainHi(st, mask, d.VersionLo)
 		d.Allowed = true
 		d.NewRing = eff
 
@@ -560,29 +513,27 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 	}
 }
 
-// chainLo opens the epoch interval for an effring chain with no
-// single shard: through a reader, the sum of the pinned snapshot
-// epochs of the consulted shards; for oracle replays or chains with no
-// indirect steps, the live store-wide Version sum.
+// chainLo opens the epoch interval for an effring chain: the sum of
+// the pinned snapshot epochs of the consulted shards (for a single
+// shard, its snapshot epoch), or the live store-wide Version for a
+// chain with no indirect steps.
 //
 //ring:hotpath
 //ring:pins
 func chainLo(st *Store, rd *reader, mask uint64) uint64 {
-	if rd != nil && mask != 0 {
+	if mask != 0 {
 		return rd.pinSum(mask)
 	}
 	return st.Version()
 }
 
 // chainHi closes an effring chain's interval: degenerate for pinned
-// snapshot reads, a live re-read for oracle replays.
+// snapshot reads, a live re-read of Version for a chain with no
+// indirect steps.
 //
 //ring:hotpath
-func chainHi(st *Store, rd *reader, sh int, mask uint64, lo uint64) uint64 {
-	if sh >= 0 {
-		return intervalHi(st, rd, sh, lo)
-	}
-	if rd != nil && mask != 0 {
+func chainHi(st *Store, mask uint64, lo uint64) uint64 {
+	if mask != 0 {
 		return lo
 	}
 	return st.Version()

@@ -3,12 +3,14 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/mmu"
+	"repro/internal/seg"
 )
 
 // testSegments is the image most service tests run against:
@@ -575,21 +577,37 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// oracleMMU builds an uncached unit reading st's descriptors straight
-// from core — the single-threaded oracle replays pass it to evalQuery
-// with no snapshot reader.
-func oracleMMU(st *Store) *mmu.MMU {
-	u := mmu.New(st.mem, mmu.Options{Validate: true})
-	u.SetDBR(st.dbr)
+// readerMMU builds an uncached unit resolving every descriptor fetch
+// from rd's pinned snapshots, as a decision slot's unit does, for tests
+// that drive evalQuery over a reader they control.
+func readerMMU(rd *reader) *mmu.MMU {
+	u := mmu.New(nil, mmu.Options{Validate: true})
+	u.SetSDWSource(rd)
 	return u
 }
 
+// oracleService builds a single-slot service over a fresh store of
+// testSegments with the given shard count: the single-threaded oracle
+// the concurrent tests replay their edit scripts against, independent
+// of the store under test.
+func oracleService(t *testing.T, shards int) *Service {
+	t.Helper()
+	st, err := NewStore(StoreConfig{Shards: shards}, testSegments())
+	if err != nil {
+		t.Fatalf("oracle NewStore: %v", err)
+	}
+	svc, err := New(st, Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("oracle New: %v", err)
+	}
+	t.Cleanup(svc.Close)
+	return svc
+}
+
 // shardScript is segment segno's mutation sequence for the sharded
-// oracle test: each mutation changes only the even word of its
-// descriptor (brackets or the present bit), so a concurrent word-atomic
-// reader sees exactly the before or the after state, never a torn
-// descriptor. Each segment of testSegments lives in its own shard (of
-// 4), so shard segno's epoch counts exactly these mutations.
+// oracle test: each mutation changes the brackets or the present bit of
+// its descriptor. Each segment of testSegments lives in its own shard
+// (of 4), so shard segno's epoch counts exactly these mutations.
 func shardScript(segno uint32, n int) []func(st *Store) error {
 	muts := make([]func(st *Store) error, n)
 	for i := range muts {
@@ -654,7 +672,7 @@ func stripDecision(d Decision) Decision {
 // shard's script single-threaded, the decision must be identical to the
 // oracle's answer at some state within the interval — regardless of
 // what the other shards' mutators were doing at the time. Run with
-// -race to also exercise the coherence protocol and the per-shard locks
+// -race to also exercise snapshot publication and the per-shard locks
 // under the race detector.
 func TestShardedConcurrentOracle(t *testing.T) {
 	const (
@@ -731,31 +749,29 @@ func TestShardedConcurrentOracle(t *testing.T) {
 		t.Fatalf("store version = %d, want %d", got, len(scripts)*2*mutations)
 	}
 
-	// Oracle replay, one shard at a time: a fresh store stepped through
-	// only shard g's script. Probes are single-segment, so the other
-	// shards' states cannot influence a shard-g decision — which is
-	// exactly the independence the oracle match below certifies.
+	// Oracle replay, one shard at a time: a single-slot service over a
+	// fresh store stepped through only shard g's script. Probes are
+	// single-segment, so the other shards' states cannot influence a
+	// shard-g decision — which is exactly the independence the oracle
+	// match below certifies.
 	oracle := [3][][]Decision{} // oracle[g][k][j]: shard-g probe j at state k
 	for g := range scripts {
-		ost, err := NewStore(StoreConfig{Shards: shards}, testSegments())
-		if err != nil {
-			t.Fatalf("oracle NewStore: %v", err)
-		}
-		u := oracleMMU(ost)
+		osvc := oracleService(t, shards)
 		oracle[g] = make([][]Decision, mutations+1)
 		for k := 0; k <= mutations; k++ {
 			if k > 0 {
-				if err := scripts[g][k-1](ost); err != nil {
+				if err := scripts[g][k-1](osvc.Store()); err != nil {
 					t.Fatalf("oracle shard %d mutation %d: %v", g, k, err)
 				}
 			}
-			for i := range probes {
-				if probeSegno[i] != uint32(g) {
-					continue
+			ds, err := osvc.Submit(context.Background(), probes)
+			if err != nil {
+				t.Fatalf("oracle shard %d state %d: %v", g, k, err)
+			}
+			for i, d := range ds {
+				if probeSegno[i] == uint32(g) {
+					oracle[g][k] = append(oracle[g][k], stripDecision(d))
 				}
-				var d Decision
-				evalQuery(ost, nil, u, &probes[i], &d)
-				oracle[g][k] = append(oracle[g][k], stripDecision(d))
 			}
 		}
 	}
@@ -844,17 +860,10 @@ func TestBlockedMutationDoesNotBlockReaders(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- st.mutate(1, func(sup *mmu.MMU) error {
-			sdw, err := sup.FetchSDW(1)
-			if err != nil {
-				return err
-			}
+		done <- st.mutate(1, func(sdw seg.SDW) (seg.SDW, error) {
 			sdw.Present = false
-			if err := sup.StoreSDW(1, sdw); err != nil {
-				return err
-			}
 			<-release
-			return nil
+			return sdw, nil
 		})
 	}()
 	waitFor(t, "mutation to open", func() bool { return st.ShardVersion(codeShard) == 1 })
@@ -862,20 +871,15 @@ func TestBlockedMutationDoesNotBlockReaders(t *testing.T) {
 	// Oracle states 0 (image as built) and 1 (code revoked).
 	states := make([][]Decision, 2)
 	probes, probeSegno := shardProbes()
+	osvc := oracleService(t, st.Shards())
 	for k := range states {
-		ost, err := NewStore(StoreConfig{}, testSegments())
-		if err != nil {
-			t.Fatalf("oracle NewStore: %v", err)
-		}
 		if k == 1 {
-			if err := ost.Revoke(1); err != nil {
+			if err := osvc.Store().Revoke(1); err != nil {
 				t.Fatalf("oracle Revoke: %v", err)
 			}
 		}
-		u := oracleMMU(ost)
-		states[k] = make([]Decision, len(probes))
-		for i := range probes {
-			evalQuery(ost, nil, u, &probes[i], &states[k][i])
+		if states[k], err = osvc.Submit(context.Background(), probes); err != nil {
+			t.Fatalf("oracle state %d: %v", k, err)
 		}
 	}
 	// The probe set must discriminate the two states, or the checks
@@ -998,10 +1002,9 @@ func TestStoreShardConfig(t *testing.T) {
 		{Shards: 3},
 		{Shards: -1},
 		{Shards: MaxShards * 2},
-		{ShardsSet: true},
 	} {
 		if _, err := NewStore(bad, testSegments()); err == nil {
-			t.Errorf("NewStore(Shards=%d, set=%v): want error, got nil", bad.Shards, bad.ShardsSet)
+			t.Errorf("NewStore(Shards=%d): want error, got nil", bad.Shards)
 		}
 	}
 	st, err := NewStore(StoreConfig{}, testSegments())
@@ -1020,6 +1023,110 @@ func TestStoreShardConfig(t *testing.T) {
 	}
 	if one.Shards() != 1 || one.ShardOf(11) != 0 {
 		t.Errorf("single-shard store: Shards()=%d ShardOf(11)=%d", one.Shards(), one.ShardOf(11))
+	}
+}
+
+// TestStoreRejectsInvalidDescriptors pins every descriptor the store
+// refuses, when an image is built and when a descriptor is edited. A
+// rejected edit publishes nothing: the shard epoch closes even again
+// (advanced by 2, as for any edit), the publish count stays put, and
+// every decision is unchanged.
+func TestStoreRejectsInvalidDescriptors(t *testing.T) {
+	tooMany := make([]Segment, MaxSegments+1)
+	for i := range tooMany {
+		tooMany[i] = Segment{Name: fmt.Sprintf("s%d", i)}
+	}
+	images := map[string][]Segment{
+		"empty name":          {{Size: 1}},
+		"duplicate name":      {{Name: "a"}, {Name: "a"}},
+		"too many segments":   tooMany,
+		"negative size":       {{Name: "a", Size: -1}},
+		"size above MaxBound": {{Name: "a", Size: seg.MaxBound + 1}},
+		"gates above bound":   {{Name: "a", Size: 4, Gates: 5}},
+		"gates above MaxGate": {{Name: "a", Size: seg.MaxBound, Gates: seg.MaxGate + 1}},
+		"inverted brackets":   {{Name: "a", Size: 4, Brackets: core.Brackets{R1: 3, R2: 2, R3: 1}}},
+		"ring above 7":        {{Name: "a", Size: 4, Brackets: core.Brackets{R1: 0, R2: 0, R3: 8}}},
+	}
+	for name, defs := range images {
+		if _, err := NewStore(StoreConfig{}, defs); err == nil {
+			t.Errorf("NewStore(%s): want error, got nil", name)
+		}
+	}
+	// The limits themselves are accepted.
+	full := make([]Segment, MaxSegments)
+	for i := range full {
+		full[i] = Segment{Name: fmt.Sprintf("s%d", i)}
+	}
+	full[MaxSegments-1] = Segment{Name: "big", Size: seg.MaxBound, Execute: true,
+		Brackets: core.Brackets{R1: 1, R2: 3, R3: 5}, Gates: seg.MaxGate}
+	if _, err := NewStore(StoreConfig{}, full); err != nil {
+		t.Fatalf("NewStore at the limits: %v", err)
+	}
+
+	// Edits, against testSegments plus a maximal segment (segno 3);
+	// segno 4 was never defined.
+	defs := append(testSegments(), full[MaxSegments-1])
+	st, err := NewStore(StoreConfig{}, defs)
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	svc, err := New(st, Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer svc.Close()
+	probes, _ := shardProbes()
+	probes = append(probes, Query{Op: OpCall, Ring: 4, Segment: "big", Wordno: seg.MaxGate - 1})
+	before, err := svc.Submit(context.Background(), probes)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if d := before[len(before)-1]; !d.Allowed || d.Outcome != core.CallDownward.String() {
+		t.Fatalf("call to the last gate of big: %+v, want an allowed downward call", d)
+	}
+	code := core.Brackets{R1: 1, R2: 3, R3: 5}
+	edits := []struct {
+		name  string
+		segno uint32
+		edit  func() error
+	}{
+		{"gates above bound", 1, func() error { return st.SetBrackets(1, true, false, true, code, 33) }},
+		{"gates above MaxGate", 3, func() error { return st.SetBrackets(3, false, false, true, code, seg.MaxGate+1) }},
+		{"inverted brackets", 0, func() error {
+			return st.SetBrackets(0, true, true, false, core.Brackets{R1: 4, R2: 2, R3: 1}, 0)
+		}},
+		{"ring above 7", 2, func() error {
+			return st.SetBrackets(2, true, false, false, core.Brackets{R1: 0, R2: 1, R3: 9}, 0)
+		}},
+		{"setbrackets beyond MaxSegments", MaxSegments, func() error {
+			return st.SetBrackets(MaxSegments, true, false, false, code, 0)
+		}},
+		{"revoke beyond MaxSegments", MaxSegments + 1, func() error { return st.Revoke(MaxSegments + 1) }},
+		{"restore beyond MaxSegments", MaxSegments + 2, func() error { return st.Restore(MaxSegments + 2) }},
+		{"setbrackets on absent segment", 4, func() error { return st.SetBrackets(4, true, false, false, code, 0) }},
+	}
+	for _, e := range edits {
+		sh := st.ShardOf(e.segno)
+		epoch := st.ShardVersion(sh)
+		publishes := st.RCUStats().Publishes
+		if err := e.edit(); err == nil {
+			t.Errorf("%s: want error, got nil", e.name)
+		}
+		if got := st.ShardVersion(sh); got != epoch+2 {
+			t.Errorf("%s: shard %d epoch %d after rejection, want %d", e.name, sh, got, epoch+2)
+		}
+		if got := st.RCUStats().Publishes; got != publishes {
+			t.Errorf("%s: publishes %d after rejection, want %d", e.name, got, publishes)
+		}
+		after, err := svc.Submit(context.Background(), probes)
+		if err != nil {
+			t.Fatalf("%s: Submit: %v", e.name, err)
+		}
+		for i := range after {
+			if after[i] != before[i] {
+				t.Errorf("%s: probe %d decided %+v, want %+v", e.name, i, after[i], before[i])
+			}
+		}
 	}
 }
 

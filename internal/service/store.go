@@ -9,17 +9,17 @@
 // single access path of the simulated machine; this package puts a
 // server around it:
 //
-//   - a Store holds one machine image: word-atomic shared core, the
-//     descriptor segment, and a set of supervisor MMUs through which
-//     every run-time descriptor edit flows. Each shard additionally
-//     publishes its descriptors as an immutable RCU snapshot behind an
-//     atomic pointer (see rcu.go);
+//   - a Store holds one protection image: the segment names and, per
+//     shard, an immutable RCU snapshot of the segment descriptor words
+//     (see rcu.go). The snapshots are the only copy of the descriptors:
+//     decisions read them and supervisor edits replace them;
 //   - a Service holds decision slots, each an MMU pointed at an
 //     epoch-counted snapshot reader — the paper's several processors
-//     sharing core. There is no queue and no worker goroutine: as the
-//     paper's processor validates inline in the reference path, a
-//     caller takes a free slot and decides its batch on its own
-//     goroutine. At most Workers+QueueDepth batches are admitted;
+//     sharing one descriptor segment. There is no queue and no worker
+//     goroutine: as the paper's processor validates inline in the
+//     reference path, a caller takes a free slot and decides its batch
+//     on its own goroutine. At most Workers+QueueDepth batches are
+//     admitted;
 //   - a Server speaks HTTP/JSON on top (see http.go) with /healthz and
 //     /metrics endpoints.
 //
@@ -27,29 +27,27 @@
 //
 // The descriptor store is sharded by segment number: shard i owns the
 // descriptors whose segno & (Shards-1) == i, with its own mutation
-// mutex, its own supervisor MMU, its own epoch counter — odd while an
-// edit of one of its descriptors is in flight, even when quiescent —
-// and its own published snapshot. Mutations of descriptors in
-// different shards proceed concurrently; an operation that ever needs
-// to quiesce the whole store must take the shard locks in ascending
-// index order.
+// mutex, its own epoch counter — odd while an edit of one of its
+// descriptors is in flight, even when quiescent — and its own published
+// snapshot. Mutations of descriptors in different shards proceed
+// concurrently; an operation that ever needs to quiesce the whole store
+// must take the shard locks in ascending index order.
 //
 // Decisions never lock: the goroutine holding a slot pins, per batch,
 // the current snapshot of every shard it consults (one atomic pointer
 // load per shard per batch) and decides against that immutable table. A
 // blocked or slow mutation therefore never delays a decision — readers
 // keep answering from the last published snapshot. Mutators serialize
-// per shard, write core (still authoritative for the CPU-simulator
-// path), publish the successor snapshot, and reclaim old snapshot
-// buffers only after a grace period; rcu.go documents the lifecycle
-// and the reclamation rule.
+// per shard, edit a copy of the current descriptor, publish the
+// successor snapshot, and reclaim old snapshot buffers only after a
+// grace period; rcu.go documents the lifecycle and the reclamation
+// rule.
 //
 // Each Decision reports the publication epoch of the snapshot it
 // consulted as a degenerate interval (VersionLo == VersionHi, even):
-// under snapshot reads every decision is a clean snapshot of the
-// consulted shard, which the T12 experiment and the sharded
-// differential test cross-check against a single-threaded oracle
-// replay.
+// every decision is a clean snapshot of the consulted shard, which the
+// T12 experiment and the sharded differential test cross-check against
+// a single-threaded oracle replay over an independent store.
 package service
 
 import (
@@ -59,42 +57,37 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/mem"
-	"repro/internal/mmu"
 	"repro/internal/seg"
-	"repro/internal/word"
 )
 
 // Segment describes one segment of the protection image the store
 // serves decisions about.
 type Segment struct {
 	Name string
-	// Size is the segment length in words; zero means len(Words), and
-	// at least one word is always allocated.
-	Size  int
-	Words []word.Word
+	// Size is the segment length in words, at most seg.MaxBound; zero
+	// means one word.
+	Size int
 
 	Read, Write, Execute bool
 	Brackets             core.Brackets
-	// Gates is the number of gate locations (words 0..Gates-1).
+	// Gates is the number of gate locations (words 0..Gates-1), at most
+	// Size and seg.MaxGate.
 	Gates uint32
 }
 
 // StoreConfig sizes the store.
 type StoreConfig struct {
-	// MemWords is the shared core size; default 1<<21.
-	MemWords int
-	// MaxSegments bounds the descriptor segment; default 256.
-	MaxSegments int
 	// Shards is the number of descriptor-store shards (a power of two,
 	// at most 64); default 8. Each shard serializes mutations of its own
 	// descriptors under its own lock and epoch, so decisions and
 	// supervisor edits touching different shards never contend.
 	Shards int
-	// ShardsSet forces Shards to be honoured even when zero (invalid —
-	// used by tests exercising the config check).
-	ShardsSet bool
 }
+
+// MaxSegments bounds the descriptor segment: an image holds at most
+// MaxSegments segments, and segment numbers at or beyond it decide as
+// absent.
+const MaxSegments = 256
 
 // MaxShards bounds StoreConfig.Shards. Shard sets consulted by one
 // decision are tracked in a 64-bit mask, and more shards than cores buy
@@ -103,10 +96,9 @@ type StoreConfig struct {
 const MaxShards = 64
 
 // shard is one slice of the descriptor store: the descriptors with
-// segno ≡ index (mod Shards), their mutation lock, their supervisor MMU
-// (cache off — ring-0 software reads descriptors through core, and an
-// uncached unit can never itself go stale), their epoch, and their
-// published RCU snapshot with its retired/free buffer lists (rcu.go).
+// segno ≡ index (mod Shards), their mutation lock, their epoch, and
+// their published RCU snapshot with its retired/free buffer lists
+// (rcu.go).
 type shard struct {
 	// epoch is odd while a mutation of this shard's descriptors is in
 	// flight, even when quiescent; epoch/2 counts completed mutations.
@@ -121,8 +113,7 @@ type shard struct {
 	snap atomic.Pointer[snapshot]
 	_    [56]byte
 
-	mu  sync.Mutex
-	sup *mmu.MMU
+	mu sync.Mutex
 
 	// retired holds predecessors awaiting their grace period; free
 	// holds reclaimed SDW buffers for reuse. Both under mu, both
@@ -141,13 +132,9 @@ type shardRCUStats struct {
 }
 
 // Store is the shared descriptor state of a decision service: the
-// word-atomic core holding the descriptor segment and segment bodies,
-// and the sharded supervisor units through which all mutations flow.
+// segment names and the sharded snapshots through which every
+// descriptor is read and every edit is published.
 type Store struct {
-	mem   *mem.Atomic
-	alloc *mem.Allocator
-	dbr   seg.DBR
-
 	shards    []shard
 	shardMask uint32
 	shardBits uint32 // log2(Shards): segno >> shardBits indexes a shard's SDW table
@@ -173,40 +160,30 @@ type Store struct {
 }
 
 // NewStore builds a store holding the given segments, numbered in
-// order from 0.
+// order from 0, and publishes each shard's epoch-0 snapshot.
 func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
-	if cfg.MemWords == 0 {
-		cfg.MemWords = 1 << 21
-	}
-	if cfg.MaxSegments == 0 {
-		cfg.MaxSegments = 256
-	}
-	if cfg.Shards == 0 && !cfg.ShardsSet {
+	if cfg.Shards == 0 {
 		cfg.Shards = 8
 	}
-	if cfg.Shards <= 0 || cfg.Shards > MaxShards || cfg.Shards&(cfg.Shards-1) != 0 {
+	if cfg.Shards < 0 || cfg.Shards > MaxShards || cfg.Shards&(cfg.Shards-1) != 0 {
 		return nil, fmt.Errorf("service: shard count %d is not a power of two in [1,%d]", cfg.Shards, MaxShards)
 	}
-	if len(defs) > cfg.MaxSegments {
-		return nil, fmt.Errorf("service: %d segments exceed MaxSegments %d", len(defs), cfg.MaxSegments)
+	if len(defs) > MaxSegments {
+		return nil, fmt.Errorf("service: %d segments exceed MaxSegments %d", len(defs), MaxSegments)
 	}
-	m := mem.NewAtomic(cfg.MemWords)
 	st := &Store{
-		mem:       m,
-		alloc:     mem.NewAllocator(cfg.MemWords, 2*cfg.MaxSegments),
-		dbr:       seg.DBR{Addr: 0, Bound: uint32(cfg.MaxSegments)},
 		shards:    make([]shard, cfg.Shards),
 		shardMask: uint32(cfg.Shards - 1),
 		shardBits: uint32(bits.TrailingZeros32(uint32(cfg.Shards))),
 		names:     make(map[string]uint32, len(defs)),
 	}
 	st.readers.Store(&[]*reader{})
-	for i := range st.shards {
-		sup := mmu.New(m, mmu.Options{Validate: true})
-		sup.SetDBR(st.dbr)
-		st.shards[i].sup = sup
+	// Shard i's table covers segment numbers i, i+Shards, i+2*Shards,
+	// ... below MaxSegments; never-defined numbers stay absent.
+	tables := make([][]seg.SDW, cfg.Shards)
+	for i := range tables {
+		tables[i] = make([]seg.SDW, MaxSegments/cfg.Shards)
 	}
-
 	for i, def := range defs {
 		if def.Name == "" {
 			return nil, fmt.Errorf("service: segment %d has no name", i)
@@ -216,65 +193,28 @@ func NewStore(cfg StoreConfig, defs []Segment) (*Store, error) {
 		}
 		size := def.Size
 		if size == 0 {
-			size = len(def.Words)
-		}
-		if size < len(def.Words) {
-			return nil, fmt.Errorf("service: segment %q size %d below contents %d", def.Name, size, len(def.Words))
-		}
-		if size == 0 {
 			size = 1 // a zero-length segment would make every reference a bound fault
 		}
-		base, err := st.alloc.Alloc(size)
-		if err != nil {
-			return nil, fmt.Errorf("service: placing %q: %w", def.Name, err)
-		}
-		if err := mem.WriteRange(m, base, def.Words); err != nil {
-			return nil, err
+		if size < 0 || size > seg.MaxBound {
+			return nil, fmt.Errorf("service: segment %q size %d outside [0,%d]", def.Name, def.Size, seg.MaxBound)
 		}
 		sdw := seg.SDW{
-			Present: true, Addr: uint32(base), Bound: uint32(size),
+			Present: true, Bound: uint32(size),
 			Read: def.Read, Write: def.Write, Execute: def.Execute,
 			Brackets: def.Brackets, Gate: def.Gates,
 		}
-		if err := st.shardFor(uint32(i)).sup.StoreSDW(uint32(i), sdw); err != nil {
+		if err := sdw.Validate(); err != nil {
 			return nil, fmt.Errorf("service: segment %q: %w", def.Name, err)
 		}
-		st.names[def.Name] = uint32(i)
+		segno := uint32(i)
+		tables[segno&st.shardMask][segno>>st.shardBits] = sdw
+		st.names[def.Name] = segno
 		st.segnos = append(st.segnos, def.Name)
 	}
-	// Publish each shard's initial snapshot (epoch 0). Shard i's table
-	// covers segment numbers i, i+Shards, i+2*Shards, ... below the
-	// descriptor bound.
 	for i := range st.shards {
-		sh := &st.shards[i]
-		n := (int(st.dbr.Bound) + cfg.Shards - 1 - i) / cfg.Shards
-		if n < 0 {
-			n = 0
-		}
-		sdws := make([]seg.SDW, n)
-		for k := range sdws {
-			segno := uint32(i + k*cfg.Shards)
-			sdw, err := sh.sup.FetchSDW(segno)
-			if err != nil {
-				return nil, fmt.Errorf("service: snapshot of segment %d: %w", segno, err)
-			}
-			sdws[k] = sdw
-		}
-		sh.snap.Store(&snapshot{epoch: 0, sdws: sdws})
+		st.shards[i].snap.Store(&snapshot{sdws: tables[i]})
 	}
 	return st, nil
-}
-
-// newSnapshotMMU builds one decision slot's MMU: no associative
-// memory — every descriptor fetch resolves from rd's pinned RCU
-// snapshots instead of core. The returned unit (and rd) must be used
-// by one goroutine at a time.
-func (st *Store) newSnapshotMMU(opt mmu.Options, rd *reader) *mmu.MMU {
-	opt.CacheSize = 0
-	u := mmu.New(st.mem, opt)
-	u.SetDBR(st.dbr)
-	u.SetSDWSource(rd)
-	return u
 }
 
 // Segno resolves a segment name.
@@ -295,9 +235,6 @@ func (st *Store) Shards() int { return len(st.shards) }
 //
 //ring:hotpath
 func (st *Store) ShardOf(segno uint32) int { return int(segno & st.shardMask) }
-
-// shardFor returns the shard owning segno's descriptor.
-func (st *Store) shardFor(segno uint32) *shard { return &st.shards[segno&st.shardMask] }
 
 // ShardVersion returns shard i's mutation epoch: odd while an edit of
 // one of its descriptors is in flight, even when quiescent.
@@ -321,26 +258,32 @@ func (st *Store) Version() uint64 {
 	return sum
 }
 
-// mutate brackets a descriptor edit with the owning shard's epoch
-// counter and publishes the successor snapshot. The edit writes core
-// through the supervisor MMU (StoreSDW — core stays authoritative for
-// the CPU-simulator path and its shootdown protocol); on success the
-// shard's RCU snapshot is rebuilt copy-on-write and published with the
-// closing (even) epoch, so decisions pick up the edit on their
-// next batch without ever locking. A failed edit publishes nothing and
-// leaves the old snapshot current.
-func (st *Store) mutate(segno uint32, f func(sup *mmu.MMU) error) error {
+// mutate applies edit to a copy of segno's current descriptor under
+// the owning shard's mutex, with the shard epoch odd while the edit is
+// in flight. A valid result is published as the shard's successor
+// snapshot, stamped with the closing (even) epoch, so decisions pick
+// up the edit on their next batch without ever locking. A rejected
+// edit publishes nothing and leaves the old snapshot current; the
+// epoch still closes even.
+func (st *Store) mutate(segno uint32, edit func(seg.SDW) (seg.SDW, error)) error {
 	shi := st.ShardOf(segno)
 	sh := &st.shards[shi]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	epoch := sh.epoch.Add(1) // odd: edit in flight
-	err := f(sh.sup)
-	if err == nil {
-		err = st.publishLocked(shi, segno, epoch+1)
+	defer sh.epoch.Add(1)
+	if segno >= MaxSegments {
+		return fmt.Errorf("service: segment number %d beyond the descriptor segment", segno)
 	}
-	sh.epoch.Add(1)
-	return err
+	sdw, err := edit(sh.snap.Load().sdws[segno>>st.shardBits])
+	if err == nil {
+		err = sdw.Validate()
+	}
+	if err != nil {
+		return err
+	}
+	st.publishLocked(shi, segno, sdw, epoch+1)
+	return nil
 }
 
 // SetPublishHook installs f to be called after every snapshot
@@ -358,49 +301,35 @@ func (st *Store) SetPublishHook(f func(shard int, segno uint32, epoch uint64)) {
 }
 
 // SetBrackets replaces the flags, brackets and gate count of segno,
-// keeping its placement. Supervisor functionality: the edit goes
-// through StoreSDW and publishes a fresh shard snapshot, which every
-// batch pinned after the publication sees.
+// keeping its bound. Supervisor functionality: the edit publishes a
+// fresh shard snapshot, which every batch pinned after the publication
+// sees.
 func (st *Store) SetBrackets(segno uint32, read, write, execute bool, b core.Brackets, gates uint32) error {
-	return st.mutate(segno, func(sup *mmu.MMU) error {
-		sdw, err := sup.FetchSDW(segno)
-		if err != nil {
-			return err
-		}
+	return st.mutate(segno, func(sdw seg.SDW) (seg.SDW, error) {
 		if !sdw.Present {
-			return fmt.Errorf("service: setbrackets on absent segment %d", segno)
+			return sdw, fmt.Errorf("service: setbrackets on absent segment %d", segno)
 		}
 		sdw.Read, sdw.Write, sdw.Execute = read, write, execute
 		sdw.Brackets = b
 		sdw.Gate = gates
-		return sup.StoreSDW(segno, sdw)
+		return sdw, nil
 	})
 }
 
 // Revoke clears the present flag of segno, leaving the rest of the
 // descriptor intact: every subsequent reference takes a missing-segment
-// fault. Because only the present bit changes, the edit is a single
-// atomic core write and concurrent readers see exactly the old or the
-// new descriptor.
+// fault.
 func (st *Store) Revoke(segno uint32) error {
-	return st.mutate(segno, func(sup *mmu.MMU) error {
-		sdw, err := sup.FetchSDW(segno)
-		if err != nil {
-			return err
-		}
+	return st.mutate(segno, func(sdw seg.SDW) (seg.SDW, error) {
 		sdw.Present = false
-		return sup.StoreSDW(segno, sdw)
+		return sdw, nil
 	})
 }
 
 // Restore re-sets the present flag of a revoked segment.
 func (st *Store) Restore(segno uint32) error {
-	return st.mutate(segno, func(sup *mmu.MMU) error {
-		sdw, err := sup.FetchSDW(segno)
-		if err != nil {
-			return err
-		}
+	return st.mutate(segno, func(sdw seg.SDW) (seg.SDW, error) {
 		sdw.Present = true
-		return sup.StoreSDW(segno, sdw)
+		return sdw, nil
 	})
 }

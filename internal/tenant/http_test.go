@@ -3,12 +3,18 @@ package tenant
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/seg"
+	"repro/internal/service"
 )
 
 // newTestHandler boots a registry with a default tenant behind the
@@ -170,6 +176,59 @@ func TestHandlerLoadRejections(t *testing.T) {
 		`{"name": "greedy", "workers": 99, "segments": [{"name": "s", "size": 1, "read": true}]}`)
 	if code != http.StatusConflict {
 		t.Errorf("over budget: %d %v, want 409", code, body)
+	}
+}
+
+// TestHandlerRejectsGateOverflow checks that a gate count above
+// seg.MaxGate, which the descriptor's gate field cannot hold, is
+// refused by an image load and by a mutation, and that the refused
+// mutation leaves decisions as they were.
+func TestHandlerRejectsGateOverflow(t *testing.T) {
+	r := NewRegistry(Config{WorkerBudget: 16})
+	wide := []service.Segment{{Name: "s", Size: seg.MaxBound, Execute: true,
+		Brackets: core.Brackets{R1: 1, R2: 3, R3: 5}, Gates: seg.MaxGate}}
+	if _, err := r.Load(DefaultTenant, wide, TenantConfig{Workers: 1}); err != nil {
+		t.Fatalf("load default: %v", err)
+	}
+	h := NewHandler(r, HandlerOptions{})
+	ts := httptest.NewServer(h)
+	t.Cleanup(func() {
+		ts.Close()
+		h.Close()
+	})
+
+	load := func(name string, gates int) string {
+		return fmt.Sprintf(`{"name": %q, "segments": [{"name": "s", "size": %d, "execute": true, "r1": 1, "r2": 3, "r3": 5, "gates": %d}]}`,
+			name, seg.MaxBound, gates)
+	}
+	if code, body := do(t, "POST", ts.URL+"/v1/images", load("over", seg.MaxGate+1)); code != http.StatusBadRequest {
+		t.Errorf("load with gates %d: %d %v, want 400", seg.MaxGate+1, code, body)
+	}
+	if code, body := do(t, "POST", ts.URL+"/v1/images", load("limit", seg.MaxGate)); code != http.StatusCreated {
+		t.Errorf("load with gates %d: %d %v, want 201", seg.MaxGate, code, body)
+	}
+
+	// A call to word 5 passes the gate check only while the gate count
+	// is kept whole; a truncated count (0 for 16384) would refuse it.
+	check := func() interface{} {
+		t.Helper()
+		code, body := do(t, "POST", ts.URL+"/v1/check",
+			`{"queries": [{"op": "call", "ring": 4, "segment": "s", "wordno": 5}]}`)
+		if code != http.StatusOK {
+			t.Fatalf("check: %d %v", code, body)
+		}
+		return body["decisions"]
+	}
+	before := check()
+	if d := before.([]interface{})[0].(map[string]interface{}); d["allowed"] != true {
+		t.Fatalf("call to word 5: %v, want allowed", d)
+	}
+	mutate := fmt.Sprintf(`{"op": "setbrackets", "segment": "s", "execute": true, "r1": 1, "r2": 3, "r3": 5, "gates": %d}`, seg.MaxGate+1)
+	if code, body := do(t, "POST", ts.URL+"/v1/mutate", mutate); code != http.StatusBadRequest {
+		t.Errorf("mutate with gates %d: %d %v, want 400", seg.MaxGate+1, code, body)
+	}
+	if after := check(); !reflect.DeepEqual(after, before) {
+		t.Errorf("decisions changed by a refused mutation: %v, want %v", after, before)
 	}
 }
 

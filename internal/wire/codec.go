@@ -794,7 +794,7 @@ func EncodeMutate(buf []byte, corr uint64, m Mutation) ([]byte, error) {
 	}
 	size := 8 + 2*wordBytes + stringWords(len(m.Segment))*wordBytes
 	if m.Op == MutSetBrackets {
-		if m.Brackets.R1 > 7 || m.Brackets.R2 > 7 || m.Brackets.R3 > 7 || m.Gates >= 1<<14 {
+		if m.Brackets.R1 > 7 || m.Brackets.R2 > 7 || m.Brackets.R3 > 7 || m.Gates > seg.MaxGate {
 			return nil, ErrNotEncodable
 		}
 		size += 2 * wordBytes

@@ -247,7 +247,26 @@ func (s *session) serve() {
 		s.wbuf = EncodeGoAway(s.wbuf)
 		_, _ = s.conn.Write(s.wbuf)
 		s.wmu.Unlock()
+		s.linger()
 	}
+}
+
+// drainLinger bounds how long a drained session waits for the client
+// to close its side before the connection is closed regardless.
+const drainLinger = 100 * time.Millisecond
+
+// linger ends a drained session without losing its GoAway: it
+// half-closes the connection, then discards the client's unread input
+// until EOF or drainLinger. Closing a TCP socket with unread input
+// sends a reset, and a reset can destroy the GoAway still waiting in
+// the client's receive buffer. Shutdown's context bounds the wait too:
+// on expiry it closes the connection, which ends the read.
+func (s *session) linger() {
+	if cw, ok := s.conn.(interface{ CloseWrite() error }); ok {
+		_ = cw.CloseWrite()
+	}
+	_ = s.conn.SetReadDeadline(time.Now().Add(drainLinger))
+	_, _ = io.Copy(io.Discard, s.conn)
 }
 
 // drain begins a graceful close: stop reading (a past read deadline
@@ -258,8 +277,8 @@ func (s *session) drain() {
 }
 
 // handshake reads the Hello frame, negotiates a version, binds the
-// tenant and answers Welcome. It reports whether the session may
-// proceed; on failure an Error frame has been written (best effort).
+// tenant and answers Welcome. It reports whether Welcome was sent; on
+// failure an Error frame has been written (best effort).
 func (s *session) handshake() bool {
 	_ = s.conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
 	h, payload, err := readFrame(s.conn, &s.rbuf, s.cfg.MaxFrame)
@@ -315,7 +334,14 @@ func (s *session) handshake() bool {
 		return false
 	}
 	_ = s.conn.SetReadDeadline(time.Time{})
-	return !s.draining.Load()
+	if s.draining.Load() {
+		// A drain that began during the handshake may have had its
+		// read deadline cleared just above: set it again, so the read
+		// loop stops at once and the welcomed client still gets its
+		// GoAway.
+		s.drain()
+	}
+	return true
 }
 
 // health reports the bound tenant's image shape.

@@ -13,7 +13,9 @@ import (
 // over HTTP through the ringd daemon.
 type (
 	// Segment describes one segment of a protection image served by a
-	// Checker (name, size, access flags, brackets, gate count).
+	// Checker (name, size, access flags, brackets, gate count). An
+	// image holds at most 256 segments; a size is at most 262143 words
+	// and a gate count at most the size and 16383.
 	Segment = service.Segment
 	// Query is one protection question: an access, call, return or
 	// effective-ring computation.
@@ -186,8 +188,10 @@ func (c *Checker) EffectiveRing(ring Ring, chain ...ChainStep) (Decision, error)
 func (c *Checker) Segno(name string) (uint32, bool) { return c.store.Segno(name) }
 
 // SetBrackets replaces the named segment's access flags, brackets and
-// gate count — ring-0 supervisor functionality, routed through the
-// coherent descriptor-store path.
+// gate count — ring-0 supervisor functionality. The edit is published
+// as a new snapshot of the segment's descriptor-store shard; an
+// invalid descriptor (gate count above the segment size or 16383) is
+// refused and changes nothing.
 func (c *Checker) SetBrackets(segment string, read, write, execute bool, b Brackets, gates uint32) error {
 	segno, ok := c.store.Segno(segment)
 	if !ok {
