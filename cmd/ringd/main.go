@@ -25,10 +25,10 @@
 //	GET  /v1/t/{name}/healthz    tenant liveness and image shape
 //	GET  /v1/t/{name}/metrics    tenant decision/fault/RCU/lease counters
 //
-//	POST /v1/check   \
-//	POST /v1/mutate   | single-tenant compatibility surface: the
-//	GET  /healthz     | tenant named "default", wire format unchanged
-//	GET  /metrics    /
+//	POST /v1/check               the same four endpoints, served
+//	POST /v1/mutate              directly for the tenant named
+//	GET  /healthz                "default"
+//	GET  /metrics
 //
 // With -listen-wire, a second TCP listener serves the binary streaming
 // protocol (internal/wire): one persistent connection per client,
@@ -50,8 +50,8 @@
 // access flags, ring brackets and gate count; POST /v1/images accepts
 // the same segments inline, or a "file" name resolved inside -image-dir
 // when that flag is set. Mutations against a sealed or draining tenant
-// answer 409. On SIGINT/SIGTERM the daemon stops accepting, drains
-// every tenant's decision queue and exits.
+// answer 409. On SIGINT/SIGTERM the daemon stops accepting, lets every
+// in-flight batch finish, evicts every tenant and exits.
 package main
 
 import (
@@ -82,6 +82,20 @@ var (
 	testHookWireReady chan<- string
 	testHookShutdown  <-chan struct{}
 )
+
+// HTTP server timeouts: a client gets readHeaderTimeout to send its
+// request headers, and an idle keep-alive connection closes after
+// idleTimeout, so a client that sends half a header cannot hold its
+// connection and goroutine open forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the daemon's HTTP server around h.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
 
 // loadImage reads a JSON image file, or returns the demo image for an
 // empty path.
@@ -143,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		h.Close()
 		return 1
 	}
-	hs := &http.Server{Handler: h}
+	hs := newHTTPServer(h)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -194,7 +208,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Graceful shutdown: stop accepting, finish in-flight HTTP requests
 	// and drain wire sessions (accepted batches complete, each session
-	// ends with a GoAway), then drain every tenant's decision queue.
+	// ends with a GoAway), then evict every tenant.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {

@@ -85,6 +85,19 @@ func TestLoadImageErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts checks that the daemon's HTTP server bounds
+// how long a client may take to send its headers and how long an idle
+// connection is kept.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
+	}
+	if hs.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0", hs.IdleTimeout)
+	}
+}
+
 func TestRunBadFlags(t *testing.T) {
 	var out, errOut bytes.Buffer
 	if code := run([]string{"-nonsense"}, &out, &errOut); code != 2 {

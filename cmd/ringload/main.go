@@ -336,10 +336,7 @@ func (d *httpDriver) segments() (uint32, error) {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	var h struct {
-		OK       bool `json:"ok"`
-		Segments int  `json:"segments"`
-	}
+	var h tenant.HealthResponse
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		return 0, err
 	}
@@ -349,47 +346,13 @@ func (d *httpDriver) segments() (uint32, error) {
 	return uint32(h.Segments), nil
 }
 
-// wireBatch mirrors the /v1/check request schema (access kinds as
-// strings).
-func wireBatch(batch []rings.Query) ([]byte, error) {
-	type wq struct {
-		Op          string            `json:"op"`
-		Ring        uint8             `json:"ring"`
-		Segno       uint32            `json:"segno,omitempty"`
-		Wordno      uint32            `json:"wordno,omitempty"`
-		Kind        string            `json:"kind,omitempty"`
-		EffRing     *uint8            `json:"eff_ring,omitempty"`
-		SameSegment bool              `json:"same_segment,omitempty"`
-		Chain       []rings.ChainStep `json:"chain,omitempty"`
-	}
-	kinds := map[rings.AccessKind]string{
-		rings.AccessRead: "read", rings.AccessWrite: "write", rings.AccessExecute: "execute",
-	}
-	out := struct {
-		Queries []wq `json:"queries"`
-	}{Queries: make([]wq, len(batch))}
-	for i, q := range batch {
-		w := wq{Op: string(q.Op), Ring: uint8(q.Ring), Segno: q.Segno,
-			Wordno: q.Wordno, SameSegment: q.SameSegment, Chain: q.Chain}
-		if q.Op == rings.OpAccess {
-			w.Kind = kinds[q.Kind]
-		}
-		if q.EffRing != nil {
-			r := uint8(*q.EffRing)
-			w.EffRing = &r
-		}
-		out.Queries[i] = w
-	}
-	return json.Marshal(out)
-}
-
 func (d *httpDriver) body(batch []rings.Query) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if b, ok := d.bodies[&batch[0]]; ok {
 		return b, nil
 	}
-	b, err := wireBatch(batch)
+	b, err := json.Marshal(tenant.NewCheckRequest(batch))
 	if err == nil {
 		d.bodies[&batch[0]] = b
 	}
@@ -414,9 +377,7 @@ func (d *httpDriver) submit(_ int, batch []rings.Query, dst []rings.Decision) (b
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return false, fmt.Errorf("/v1/check: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
-	var cr struct {
-		Decisions []rings.Decision `json:"decisions"`
-	}
+	var cr tenant.CheckResponse
 	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
 		return false, err
 	}

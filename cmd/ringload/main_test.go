@@ -191,22 +191,20 @@ func TestRunSweepGrid(t *testing.T) {
 }
 
 func TestRunHTTPTarget(t *testing.T) {
-	st, err := service.NewStore(service.StoreConfig{}, []service.Segment{
+	reg := tenant.NewRegistry(tenant.Config{})
+	def, err := reg.Load(tenant.DefaultTenant, []service.Segment{
 		{Name: "data", Size: 64, Read: true, Write: true,
 			Brackets: rings.Brackets{R1: 2, R2: 4, R3: 4}},
 		{Name: "code", Size: 64, Read: true, Execute: true,
 			Brackets: rings.Brackets{R1: 1, R2: 3, R3: 5}, Gates: 2},
-	})
+	}, tenant.TenantConfig{Workers: 2})
 	if err != nil {
-		t.Fatalf("NewStore: %v", err)
+		t.Fatalf("Load: %v", err)
 	}
-	svc, err := service.New(st, service.Config{Workers: 2})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	srv := httptest.NewServer(service.NewServer(svc))
+	h := tenant.NewHandler(reg, tenant.HandlerOptions{})
+	srv := httptest.NewServer(h)
 	defer srv.Close()
-	defer svc.Close()
+	defer h.Close()
 
 	results := runJSON(t, "-c", "2", "-batch", "4", "-duration", "150ms", "-target", srv.URL)
 	if len(results) != 1 {
@@ -222,7 +220,7 @@ func TestRunHTTPTarget(t *testing.T) {
 	if !strings.Contains(strings.Join(r.Lines, "\n"), "mode http") {
 		t.Errorf("lines missing mode: %v", r.Lines)
 	}
-	if snap := svc.Snapshot(); snap.Queries == 0 {
+	if snap := def.Service().Snapshot(); snap.Queries == 0 {
 		t.Errorf("server saw no queries")
 	}
 }

@@ -19,9 +19,11 @@
 //     goroutine: as the paper's processor validates inline in the
 //     reference path, a caller takes a free slot and decides its batch
 //     on its own goroutine. At most Workers+QueueDepth batches are
-//     admitted;
-//   - a Server speaks HTTP/JSON on top (see http.go) with /healthz and
-//     /metrics endpoints.
+//     admitted.
+//
+// The package speaks no network protocol: internal/tenant serves the
+// HTTP/JSON surface and internal/wire the binary one, both over
+// Service.Submit and Store.Apply.
 //
 // # Consistency model
 //
@@ -51,6 +53,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -332,4 +335,69 @@ func (st *Store) Restore(segno uint32) error {
 		sdw.Present = true
 		return sdw, nil
 	})
+}
+
+// MutOp names a supervisor mutation.
+type MutOp string
+
+const (
+	// MutSetBrackets replaces a segment's flags, brackets and gates.
+	MutSetBrackets MutOp = "setbrackets"
+	// MutRevoke clears a segment's present flag.
+	MutRevoke MutOp = "revoke"
+	// MutRestore re-sets a revoked segment's present flag.
+	MutRestore MutOp = "restore"
+)
+
+// Mutation is one supervisor edit, as both network transports carry
+// it. The target segment is named by Segment, or by Segno when Segment
+// is empty.
+type Mutation struct {
+	Op      MutOp
+	Segment string
+	Segno   uint32
+
+	// MutSetBrackets payload.
+	Read     bool
+	Write    bool
+	Execute  bool
+	Brackets core.Brackets
+	Gates    uint32
+}
+
+// ErrUnknownSegment reports a mutation naming a segment the image does
+// not hold.
+var ErrUnknownSegment = errors.New("unknown segment")
+
+// Apply performs m and returns the store version after it: it resolves
+// the segment name, validates setbrackets' brackets, then edits the
+// descriptor. The HTTP and binary mutate handlers both call it, so an
+// edit is accepted or refused, with the same message, on either
+// transport.
+func (st *Store) Apply(m Mutation) (version uint64, err error) {
+	segno := m.Segno
+	if m.Segment != "" {
+		n, ok := st.Segno(m.Segment)
+		if !ok {
+			return 0, fmt.Errorf("%w %q", ErrUnknownSegment, m.Segment)
+		}
+		segno = n
+	}
+	switch m.Op {
+	case MutSetBrackets:
+		if err := m.Brackets.Validate(); err != nil {
+			return 0, err
+		}
+		err = st.SetBrackets(segno, m.Read, m.Write, m.Execute, m.Brackets, m.Gates)
+	case MutRevoke:
+		err = st.Revoke(segno)
+	case MutRestore:
+		err = st.Restore(segno)
+	default:
+		return 0, fmt.Errorf("unknown mutation op %q", string(m.Op))
+	}
+	if err != nil {
+		return 0, err
+	}
+	return st.Version(), nil
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/service"
 )
 
-// Handler is the multi-tenant HTTP face of a Registry — the ringd
-// daemon's handler. Endpoints:
+// Handler is the HTTP face of a Registry — the ringd daemon's
+// handler. Endpoints:
 //
 //	GET    /v1/images               — list loaded images and budgets
 //	POST   /v1/images               — load an image (inline segments or
@@ -20,22 +20,30 @@ import (
 //	GET    /v1/images/{name}        — one tenant's status and metrics
 //	POST   /v1/images/{name}/seal   — freeze the descriptor space
 //	POST   /v1/images/{name}/evict  — drain and remove (DELETE works too)
-//	ANY    /v1/t/{name}/check       — tenant-scoped decision batch
-//	ANY    /v1/t/{name}/mutate      — tenant-scoped supervisor edit
-//	GET    /v1/t/{name}/healthz     — tenant liveness and image shape
-//	GET    /v1/t/{name}/metrics     — tenant decision/fault/RCU counters
+//	POST   /v1/t/{name}/check       — a batch of protection queries
+//	                                  (CheckRequest → CheckResponse)
+//	POST   /v1/t/{name}/mutate      — a supervisor edit (setbrackets,
+//	                                  revoke, restore) via Store.Apply
+//	GET    /v1/t/{name}/healthz     — liveness and image shape
+//	GET    /v1/t/{name}/metrics     — decision/fault/RCU/lease counters
+//	POST   /v1/check                — the same four endpoints for the
+//	POST   /v1/mutate                 tenant named "default"
+//	GET    /healthz
+//	GET    /metrics
 //
-// plus the single-tenant compatibility surface — /v1/check, /v1/mutate,
-// /healthz, /metrics — which routes to the tenant named "default" with
-// an unchanged wire format (the golden HTTP fixtures pass against it
-// byte for byte).
+// Decisions answer 413 for a body larger than BatchLimit×1 KiB, 400
+// for a malformed or oversized batch, and 429 with Retry-After when
+// Workers+QueueDepth batches are in flight. A mutation answers 404 for
+// an unknown segment and 400 for any other refused edit. With no
+// default tenant, /healthz still answers (registry-level liveness).
 //
 // Lifecycle conflicts map to HTTP as follows: a mutation against a
 // sealed or draining tenant answers 409 (conflict — the descriptor
 // space is frozen or going away), a decision against a draining tenant
 // answers 503 with Retry-After (the drain is transient from the
 // fleet's point of view: retry another replica), and anything against
-// an evicted tenant answers 404.
+// an evicted tenant answers 404. The lifecycle gate runs before the
+// request body is read.
 type Handler struct {
 	reg *Registry
 	mux *http.ServeMux
@@ -52,7 +60,7 @@ type HandlerOptions struct {
 	ImageDir string
 }
 
-// NewHandler wraps reg in the multi-tenant HTTP API.
+// NewHandler wraps reg in the HTTP API.
 func NewHandler(reg *Registry, opt HandlerOptions) *Handler {
 	h := &Handler{reg: reg, mux: http.NewServeMux(), imageDir: opt.ImageDir}
 	h.mux.HandleFunc("GET /v1/images", h.handleList)
@@ -62,12 +70,10 @@ func NewHandler(reg *Registry, opt HandlerOptions) *Handler {
 	h.mux.HandleFunc("POST /v1/images/{name}/seal", h.handleSeal)
 	h.mux.HandleFunc("POST /v1/images/{name}/evict", h.handleEvict)
 	h.mux.HandleFunc("/v1/t/{name}/{endpoint}", h.handleTenant)
-	// Single-tenant compatibility surface: the default tenant's wire
-	// format, unchanged.
-	h.mux.HandleFunc("/v1/check", h.forwardDefault("check"))
-	h.mux.HandleFunc("/v1/mutate", h.forwardDefault("mutate"))
+	h.mux.HandleFunc("/v1/check", h.onDefault(serveCheck))
+	h.mux.HandleFunc("/v1/mutate", h.onDefault(serveMutate))
 	h.mux.HandleFunc("/healthz", h.handleHealthz)
-	h.mux.HandleFunc("/metrics", h.forwardDefault("metrics"))
+	h.mux.HandleFunc("/metrics", h.onDefault(serveMetrics))
 	return h
 }
 
@@ -83,12 +89,15 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // listener has stopped accepting so in-flight requests complete first.
 func (h *Handler) Close() { h.reg.Close() }
 
-type errorResponse struct {
-	Error string `json:"error"`
-}
+// maxQueryBytes is the body allowance per query, and per mutation: a
+// /v1/check body larger than BatchLimit*maxQueryBytes is refused with
+// 413 before it is decoded in full. At the default BatchLimit that is
+// 1 MiB, the binary protocol's default frame bound. An image load may
+// carry MaxSegments*maxQueryBytes.
+const maxQueryBytes = 1 << 10
 
-// writeJSON mirrors the service package's encoder (two-space indent)
-// so every endpoint of the daemon shares one wire style.
+// writeJSON writes v with a two-space indent, the one wire style of
+// every endpoint.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -97,27 +106,45 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	_ = enc.Encode(v)
 }
 
+// decodeBody decodes the JSON body of r into v, reading at most limit
+// bytes. On failure it answers 413 (body too large) or 400 and
+// reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge,
+			ErrorResponse{Error: fmt.Sprintf("request body exceeds %d bytes", limit)})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "bad request: " + err.Error()})
+	return false
+}
+
 // lifecycleError maps a lifecycle rejection to its HTTP status:
 // 409 for mutations against a sealed or draining tenant, 503 with
 // Retry-After for decisions against a draining or loading one.
 func lifecycleError(w http.ResponseWriter, err error, mutation bool) {
 	switch {
 	case errors.Is(err, ErrSealed):
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
 	case errors.Is(err, ErrDraining):
 		if mutation {
-			writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+			writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
 			return
 		}
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
 	case errors.Is(err, ErrLoading):
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
 	case errors.Is(err, ErrTenantNotFound):
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: err.Error()})
 	default:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: err.Error()})
 	}
 }
 
@@ -163,16 +190,15 @@ func (h *Handler) imageFilePath(name string) (string, error) {
 
 func (h *Handler) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req loadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request: " + err.Error()})
+	if !decodeBody(w, r, service.MaxSegments*maxQueryBytes, &req) {
 		return
 	}
 	if !ValidName(req.Name) {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad tenant name %q", req.Name)})
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("bad tenant name %q", req.Name)})
 		return
 	}
 	if (len(req.Segments) == 0) == (req.File == "") {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "exactly one of segments or file must be given"})
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "exactly one of segments or file must be given"})
 		return
 	}
 	var defs []service.Segment
@@ -180,7 +206,7 @@ func (h *Handler) handleLoad(w http.ResponseWriter, r *http.Request) {
 	if req.File != "" {
 		path, perr := h.imageFilePath(req.File)
 		if perr != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: perr.Error()})
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: perr.Error()})
 			return
 		}
 		defs, err = LoadImageFile(path)
@@ -189,13 +215,13 @@ func (h *Handler) handleLoad(w http.ResponseWriter, r *http.Request) {
 			if os.IsNotExist(err) {
 				status = http.StatusNotFound
 			}
-			writeJSON(w, status, errorResponse{Error: err.Error()})
+			writeJSON(w, status, ErrorResponse{Error: err.Error()})
 			return
 		}
 	} else {
 		defs, err = Segments(req.Segments)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 			return
 		}
 	}
@@ -204,10 +230,10 @@ func (h *Handler) handleLoad(w http.ResponseWriter, r *http.Request) {
 	})
 	switch {
 	case errors.Is(err, ErrTenantExists), errors.Is(err, ErrTooManyTenants), errors.Is(err, ErrWorkerBudget):
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
 		return
 	case err != nil:
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusCreated, loadResponse{
@@ -226,7 +252,7 @@ type detailResponse struct {
 func (h *Handler) handleDetail(w http.ResponseWriter, r *http.Request) {
 	t, ok := h.reg.Get(r.PathValue("name"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("%v: %q", ErrTenantNotFound, r.PathValue("name"))})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("%v: %q", ErrTenantNotFound, r.PathValue("name"))})
 		return
 	}
 	writeJSON(w, http.StatusOK, detailResponse{Status: t.Status(), Metrics: t.Service().Snapshot()})
@@ -242,10 +268,10 @@ func (h *Handler) handleSeal(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := h.reg.Seal(name); err != nil {
 		if errors.Is(err, ErrTenantNotFound) {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+		writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, lifecycleResponse{OK: true, Name: name, State: StateSealed.String()})
@@ -256,91 +282,159 @@ func (h *Handler) handleEvict(w http.ResponseWriter, r *http.Request) {
 	if err := h.reg.Evict(name); err != nil {
 		switch {
 		case errors.Is(err, ErrTenantNotFound):
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: err.Error()})
 		case errors.Is(err, ErrDraining):
-			writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+			writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
 		default:
-			writeJSON(w, http.StatusConflict, errorResponse{Error: err.Error()})
+			writeJSON(w, http.StatusConflict, ErrorResponse{Error: err.Error()})
 		}
 		return
 	}
 	writeJSON(w, http.StatusOK, lifecycleResponse{OK: true, Name: name, State: StateEvicted.String()})
 }
 
-// forward rewrites a tenant-scoped request onto the tenant's
-// single-tenant server, gating it on the lifecycle state first so a
-// frozen or draining tenant answers its conflict status instead of a
-// surprising 500/503 from deeper layers.
-func (h *Handler) forward(w http.ResponseWriter, r *http.Request, t *Tenant, endpoint string) {
-	var target string
-	switch endpoint {
-	case "check":
-		if err := t.checkable(); err != nil {
-			lifecycleError(w, err, false)
-			return
-		}
-		target = "/v1/check"
-	case "mutate":
-		if err := t.mutable(); err != nil {
-			lifecycleError(w, err, true)
-			return
-		}
-		target = "/v1/mutate"
-	case "healthz":
-		target = "/healthz"
-	case "metrics":
-		if r.Method == http.MethodGet {
-			// Merge the tenant's lease-hub counters into the service
-			// snapshot. Embedding inlines the snapshot's existing keys,
-			// so the single-tenant wire shape is extended with a
-			// "leases" object, never changed.
-			writeJSON(w, http.StatusOK, struct {
-				service.Snapshot
-				Leases LeaseStats `json:"leases"`
-			}{t.Service().Snapshot(), t.LeaseStats()})
-			return
-		}
-		target = "/metrics"
-	default:
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("unknown tenant endpoint %q", endpoint)})
+// serveCheck answers a decision batch for t.
+func serveCheck(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	if err := t.checkable(); err != nil {
+		lifecycleError(w, err, false)
 		return
 	}
-	r2 := r.Clone(r.Context())
-	r2.URL.Path = target
-	r2.URL.RawPath = ""
-	t.Server().ServeHTTP(w, r2)
+	if r.Method != http.MethodPost {
+		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required"})
+		return
+	}
+	limit := t.Service().BatchLimit()
+	var req CheckRequest
+	if !decodeBody(w, r, int64(limit)*maxQueryBytes, &req) {
+		return
+	}
+	if len(req.Queries) == 0 {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "empty batch"})
+		return
+	}
+	if len(req.Queries) > limit {
+		writeJSON(w, http.StatusBadRequest,
+			ErrorResponse{Error: fmt.Sprintf("%v: %d > %d", service.ErrBatchTooLarge, len(req.Queries), limit)})
+		return
+	}
+	queries := make([]service.Query, len(req.Queries))
+	for i, cq := range req.Queries {
+		q, err := cq.Query()
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("query %d: %v", i, err)})
+			return
+		}
+		queries[i] = q
+	}
+	ds, err := t.Submit(r.Context(), queries)
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusOK, CheckResponse{Decisions: ds})
+	case errors.Is(err, service.ErrQueueFull):
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: err.Error()})
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrTenantNotFound):
+		// The tenant began draining after the gate.
+		lifecycleError(w, err, false)
+	default:
+		// The service closed under the request, or the client went away.
+		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
+	}
+}
+
+// serveMutate applies one supervisor edit to t.
+func serveMutate(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	if err := t.mutable(); err != nil {
+		lifecycleError(w, err, true)
+		return
+	}
+	if r.Method != http.MethodPost {
+		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{Error: "POST required"})
+		return
+	}
+	var req mutateRequest
+	if !decodeBody(w, r, maxQueryBytes, &req) {
+		return
+	}
+	version, err := t.Store().Apply(req.mutation())
+	switch {
+	case errors.Is(err, service.ErrUnknownSegment):
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: err.Error()})
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
+	default:
+		writeJSON(w, http.StatusOK, mutateResponse{OK: true, Version: version})
+	}
+}
+
+// serveHealthz reports t's image shape.
+func serveHealthz(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	if t.State() == StateLoading {
+		lifecycleError(w, ErrLoading, false)
+		return
+	}
+	writeJSON(w, http.StatusOK, HealthResponse{
+		OK:       true,
+		Workers:  t.Service().Workers(),
+		Segments: len(t.Store().Segments()),
+		Shards:   t.Store().Shards(),
+		Version:  t.Store().Version(),
+	})
+}
+
+// serveMetrics reports t's service snapshot with its lease-hub
+// counters merged in: embedding inlines the snapshot's keys and adds a
+// "leases" object.
+func serveMetrics(w http.ResponseWriter, r *http.Request, t *Tenant) {
+	if t.State() == StateLoading {
+		lifecycleError(w, ErrLoading, false)
+		return
+	}
+	writeJSON(w, http.StatusOK, struct {
+		service.Snapshot
+		Leases LeaseStats `json:"leases"`
+	}{t.Service().Snapshot(), t.LeaseStats()})
 }
 
 func (h *Handler) handleTenant(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	t, ok := h.reg.Get(name)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("%v: %q", ErrTenantNotFound, name)})
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("%v: %q", ErrTenantNotFound, name)})
 		return
 	}
-	h.forward(w, r, t, r.PathValue("endpoint"))
+	switch endpoint := r.PathValue("endpoint"); endpoint {
+	case "check":
+		serveCheck(w, r, t)
+	case "mutate":
+		serveMutate(w, r, t)
+	case "healthz":
+		serveHealthz(w, r, t)
+	case "metrics":
+		serveMetrics(w, r, t)
+	default:
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown tenant endpoint %q", endpoint)})
+	}
 }
 
-// forwardDefault routes a single-tenant endpoint to the default
-// tenant.
-func (h *Handler) forwardDefault(endpoint string) http.HandlerFunc {
+// onDefault serves a tenant endpoint for the default tenant.
+func (h *Handler) onDefault(serve func(http.ResponseWriter, *http.Request, *Tenant)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t, ok := h.reg.Get(DefaultTenant)
 		if !ok {
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("%v: %q", ErrTenantNotFound, DefaultTenant)})
+			writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("%v: %q", ErrTenantNotFound, DefaultTenant)})
 			return
 		}
-		h.forward(w, r, t, endpoint)
+		serve(w, r, t)
 	}
 }
 
-// handleHealthz forwards to the default tenant (unchanged single-
-// tenant wire shape) when one is loaded, and degrades to a registry-
-// level liveness answer when there is none — a fleet daemon with no
-// default image is still alive.
+// handleHealthz reports the default tenant's health when one is
+// loaded, and degrades to a registry-level liveness answer when there
+// is none — a fleet daemon with no default image is still alive.
 func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if t, ok := h.reg.Get(DefaultTenant); ok {
-		h.forward(w, r, t, "healthz")
+		serveHealthz(w, r, t)
 		return
 	}
 	writeJSON(w, http.StatusOK, struct {

@@ -10,8 +10,8 @@
 // served by one enforcement engine. A tenant here is exactly such a
 // compartment: a complete descriptor space whose decisions never read
 // another tenant's descriptors, whose worker quota bounds the CPU it
-// can consume, and whose bounded queue sheds its own overload instead
-// of exporting it to its neighbours.
+// can consume, and whose admission bound sheds its own overload
+// instead of exporting it to its neighbours.
 //
 // # Lifecycle
 //
@@ -69,7 +69,7 @@ const (
 	// StateSealed marks a frozen descriptor space: decisions are
 	// served, mutations are rejected.
 	StateSealed
-	// StateDraining marks a tenant whose eviction has begun: queued
+	// StateDraining marks a tenant whose eviction has begun: in-flight
 	// batches complete, new work is rejected.
 	StateDraining
 	// StateEvicted marks a tenant removed from the registry.
@@ -145,7 +145,7 @@ type Config struct {
 }
 
 // Tenant is one loaded image: a complete descriptor space with its own
-// decision service, queue, and lifecycle state.
+// decision service, admission bound, and lifecycle state.
 type Tenant struct {
 	name  string
 	cfg   TenantConfig
@@ -153,7 +153,6 @@ type Tenant struct {
 
 	store *service.Store
 	svc   *service.Service
-	srv   *service.Server
 	// hub fans descriptor mutations out to wire-session lease
 	// subscribers (leases.go); published with the same
 	// assign-then-activate discipline as store/svc.
@@ -175,11 +174,6 @@ func (t *Tenant) Store() *service.Store { return t.store }
 
 // Service returns the tenant's decision service, or nil while loading.
 func (t *Tenant) Service() *service.Service { return t.svc }
-
-// Server returns the tenant's HTTP face (the single-tenant wire
-// format, served under /v1/t/{name}/ by the registry handler), or nil
-// while loading.
-func (t *Tenant) Server() *service.Server { return t.srv }
 
 // Config returns the tenant's resolved sizing.
 func (t *Tenant) Config() TenantConfig { return t.cfg }
@@ -363,7 +357,6 @@ func (r *Registry) Load(name string, segs []service.Segment, cfg TenantConfig) (
 		r.unregister(t)
 		return nil, fmt.Errorf("tenant %q: %w", name, err)
 	}
-	t.srv = service.NewServer(t.svc)
 	t.hub = newLeaseHub(st.Shards())
 	st.SetPublishHook(t.hub.broadcast)
 	t.state.Store(int32(StateActive))

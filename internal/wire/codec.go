@@ -37,17 +37,30 @@ const (
 	opEffRing = 4
 )
 
-// Mutation op codes.
-type MutOp uint32
+// MutOp names a supervisor mutation (service.MutOp).
+type MutOp = service.MutOp
 
+// The mutation ops.
 const (
-	// MutSetBrackets replaces a segment's flags, brackets and gates.
-	MutSetBrackets MutOp = 1 + iota
-	// MutRevoke clears a segment's present flag.
-	MutRevoke
-	// MutRestore re-sets a revoked segment's present flag.
-	MutRestore
+	MutSetBrackets = service.MutSetBrackets
+	MutRevoke      = service.MutRevoke
+	MutRestore     = service.MutRestore
 )
+
+// mutOpCodes lists the mutation ops by their code on the wire; code 0
+// is no op.
+var mutOpCodes = [...]MutOp{1: MutSetBrackets, 2: MutRevoke, 3: MutRestore}
+
+// mutOpCode returns op's wire code, or 0 for an op the wire does not
+// carry.
+func mutOpCode(op MutOp) uint32 {
+	for code := 1; code < len(mutOpCodes); code++ {
+		if mutOpCodes[code] == op {
+			return uint32(code)
+		}
+	}
+	return 0
+}
 
 // outcomeName maps the 3-bit outcome code of a decision control word
 // to the interned outcome strings of core.CallOutcome/ReturnOutcome;
@@ -754,21 +767,11 @@ func decodeWelcome(p []byte) (Welcome, error) {
 
 // ---- Mutation frames ----
 
-// Mutation is a supervisor mutation: the binary form of the JSON
-// mutate request. The target segment is named either by Segment or by
-// Segno (Segment takes precedence; both set is not encodable).
-type Mutation struct {
-	Op      MutOp
-	Segment string
-	Segno   uint32
-
-	// MutSetBrackets payload; must be zero for the other ops.
-	Read     bool
-	Write    bool
-	Execute  bool
-	Brackets core.Brackets
-	Gates    uint32
-}
+// Mutation is a supervisor mutation (service.Mutation). On the wire
+// the target segment is named either by Segment or by Segno (both set
+// is not encodable), and the setbrackets payload must be zero for the
+// other ops.
+type Mutation = service.Mutation
 
 // EncodeMutate fills buf with a complete Mutate frame. The
 // setbrackets payload travels as a genuine SDW even/odd word pair
@@ -776,9 +779,8 @@ type Mutation struct {
 // simulated memory; gate counts beyond the SDW gate field's 14 bits
 // are not encodable.
 func EncodeMutate(buf []byte, corr uint64, m Mutation) ([]byte, error) {
-	switch m.Op {
-	case MutSetBrackets, MutRevoke, MutRestore:
-	default:
+	op := mutOpCode(m.Op)
+	if op == 0 {
 		return nil, ErrNotEncodable
 	}
 	if m.Segment != "" {
@@ -803,7 +805,7 @@ func EncodeMutate(buf []byte, corr uint64, m Mutation) ([]byte, error) {
 	}
 	b := ensure(buf, HeaderLen+size)
 	PutHeader(b, Header{Len: uint32(size), Type: FrameMutate, Corr: corr})
-	binary.BigEndian.PutUint32(b[HeaderLen:], uint32(m.Op))
+	binary.BigEndian.PutUint32(b[HeaderLen:], op)
 	binary.BigEndian.PutUint32(b[HeaderLen+4:], 0)
 	off := putLenWord(b, HeaderLen+8, len(m.Segment))
 	off = putWord(b, off, word.Word(0).Deposit(18, seg.SegnoBits, uint64(m.Segno)))
@@ -831,12 +833,10 @@ func decodeMutate(p []byte) (Mutation, error) {
 	if binary.BigEndian.Uint32(p[4:8]) != 0 {
 		return m, ErrBadFrame
 	}
-	m.Op = MutOp(op)
-	switch m.Op {
-	case MutSetBrackets, MutRevoke, MutRestore:
-	default:
+	if op == 0 || op >= uint32(len(mutOpCodes)) {
 		return m, ErrBadFrame
 	}
+	m.Op = mutOpCodes[op]
 	n, off, err := getLenWord(p, 8, maxQueryName)
 	if err != nil {
 		return m, err

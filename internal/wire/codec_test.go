@@ -132,7 +132,7 @@ func TestEncodeRejectsUnencodable(t *testing.T) {
 			{Worker: 1 << 15}}},
 		"decision shard too wide": {Type: FrameDecisions, Decisions: []service.Decision{
 			{Shard: 127}}},
-		"mutation bad op": {Type: FrameMutate, Mutation: Mutation{Op: 9}},
+		"mutation bad op": {Type: FrameMutate, Mutation: Mutation{Op: "transmogrify"}},
 		"mutation gates too wide": {Type: FrameMutate, Mutation: Mutation{
 			Op: MutSetBrackets, Segment: "code", Gates: 1 << 14}},
 		"mutation brackets on revoke": {Type: FrameMutate, Mutation: Mutation{

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -12,20 +13,22 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/seg"
 	"repro/internal/service"
 	"repro/internal/tenant"
 )
 
-// readGolden loads a recorded HTTP fixture from the service package's
+// readGolden loads a recorded HTTP fixture from the tenant package's
 // golden set and unmarshals it into v.
 func readGolden(t *testing.T, name string, v interface{}) {
 	t.Helper()
-	b, err := os.ReadFile(filepath.Join("..", "service", "testdata", "golden", name))
+	b, err := os.ReadFile(filepath.Join("..", "tenant", "testdata", "golden", name))
 	if err != nil {
 		t.Fatalf("read golden fixture: %v", err)
 	}
@@ -64,27 +67,19 @@ func TestDifferentialGoldenReplay(t *testing.T) {
 	defer c.Close()
 
 	// healthz.json <-> ping frame.
-	var health struct {
-		OK       bool   `json:"ok"`
-		Workers  uint32 `json:"workers"`
-		Segments uint32 `json:"segments"`
-		Shards   uint32 `json:"shards"`
-		Version  uint64 `json:"version"`
-	}
+	var health tenant.HealthResponse
 	readGolden(t, "healthz.json", &health)
 	h, err := c.Ping()
 	if err != nil {
 		t.Fatalf("ping: %v", err)
 	}
-	if !health.OK || h.Workers != health.Workers || h.Segments != health.Segments ||
-		h.Shards != health.Shards || h.StoreVersion != health.Version {
+	if !health.OK || int(h.Workers) != health.Workers || int(h.Segments) != health.Segments ||
+		int(h.Shards) != health.Shards || h.StoreVersion != health.Version {
 		t.Errorf("ping = %+v, healthz fixture = %+v", h, health)
 	}
 
 	// check_ok.json <-> the six-query batch.
-	var checkOK struct {
-		Decisions []service.Decision `json:"decisions"`
-	}
+	var checkOK tenant.CheckResponse
 	readGolden(t, "check_ok.json", &checkOK)
 	got, err := c.Check(goldenQueries()...)
 	if err != nil {
@@ -96,9 +91,7 @@ func TestDifferentialGoldenReplay(t *testing.T) {
 
 	// check_empty.json <-> error frame with the same message, same
 	// 400 code the HTTP route answers.
-	var fixtureErr struct {
-		Error string `json:"error"`
-	}
+	var fixtureErr tenant.ErrorResponse
 	readGolden(t, "check_empty.json", &fixtureErr)
 	err = c.CheckInto(nil, nil)
 	var ef *ErrFrame
@@ -149,9 +142,7 @@ func TestDifferentialGoldenReplay(t *testing.T) {
 
 	// check_after_mutate.json <-> the post-mutation decision,
 	// including the advanced version interval.
-	var afterMut struct {
-		Decisions []service.Decision `json:"decisions"`
-	}
+	var afterMut tenant.CheckResponse
 	readGolden(t, "check_after_mutate.json", &afterMut)
 	after, err := c.Check(service.Query{Op: service.OpAccess, Ring: 4, Segment: "data", Wordno: 3})
 	if err != nil {
@@ -174,31 +165,7 @@ func TestDifferentialGoldenReplay(t *testing.T) {
 // returns the decisions.
 func httpCheck(t *testing.T, url string, queries []service.Query) []service.Decision {
 	t.Helper()
-	type wq struct {
-		Op          string              `json:"op"`
-		Ring        uint8               `json:"ring"`
-		Segment     string              `json:"segment,omitempty"`
-		Segno       uint32              `json:"segno,omitempty"`
-		Wordno      uint32              `json:"wordno,omitempty"`
-		Kind        string              `json:"kind,omitempty"`
-		EffRing     *uint8              `json:"eff_ring,omitempty"`
-		SameSegment bool                `json:"same_segment,omitempty"`
-		Chain       []service.ChainStep `json:"chain,omitempty"`
-	}
-	kinds := [3]string{"read", "write", "execute"}
-	req := struct {
-		Queries []wq `json:"queries"`
-	}{Queries: make([]wq, len(queries))}
-	for i, q := range queries {
-		req.Queries[i] = wq{Op: string(q.Op), Ring: uint8(q.Ring), Segment: q.Segment,
-			Segno: q.Segno, Wordno: q.Wordno, Kind: kinds[q.Kind],
-			SameSegment: q.SameSegment, Chain: q.Chain}
-		if q.EffRing != nil {
-			r := uint8(*q.EffRing)
-			req.Queries[i].EffRing = &r
-		}
-	}
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(tenant.NewCheckRequest(queries))
 	if err != nil {
 		t.Fatalf("marshal check request: %v", err)
 	}
@@ -210,9 +177,7 @@ func httpCheck(t *testing.T, url string, queries []service.Query) []service.Deci
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("http check status %d", resp.StatusCode)
 	}
-	var out struct {
-		Decisions []service.Decision `json:"decisions"`
-	}
+	var out tenant.CheckResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatalf("decode check response: %v", err)
 	}
@@ -431,4 +396,98 @@ func TestDifferentialRandomizedTrace(t *testing.T) {
 			t.Errorf("battery %d (%+v):\n wire %+v\n http %+v", i, battery[i], gotW[i], gotH[i])
 		}
 	}
+}
+
+// TestMutationRejectionParity sends every class of refused mutation
+// through POST /v1/t/{name}/mutate and a wire Mutate frame, and checks
+// that both transports answer with the same code (the wire codes are
+// the HTTP statuses) and the same message. Both reach Store.Apply
+// behind Tenant.Mutable.
+//
+// A gate count above seg.MaxGate does not fit the SDW gate field the
+// Mutate frame carries, so the wire client refuses to encode it
+// (ErrNotEncodable) and no frame is sent; over HTTP the store refuses
+// it.
+func TestMutationRejectionParity(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1})
+	if _, err := reg.Load("frozen", testSegments(), tenant.TenantConfig{Workers: 1}); err != nil {
+		t.Fatalf("load frozen: %v", err)
+	}
+	if err := reg.Seal("frozen"); err != nil {
+		t.Fatalf("seal: %v", err)
+	}
+	// A segment long enough that only the gate field's width bounds
+	// its gate count.
+	wide := []service.Segment{{Name: "s", Size: seg.MaxBound, Execute: true,
+		Brackets: core.Brackets{R1: 1, R2: 3, R3: 5}, Gates: seg.MaxGate}}
+	if _, err := reg.Load("wide", wide, tenant.TenantConfig{Workers: 1}); err != nil {
+		t.Fatalf("load wide: %v", err)
+	}
+	hs := httptest.NewServer(tenant.NewHandler(reg, tenant.HandlerOptions{}))
+	t.Cleanup(hs.Close)
+	_, addr := startWireServer(t, reg, Config{})
+
+	cases := []struct {
+		name   string
+		tenant string
+		json   string
+		m      Mutation
+		code   uint16
+		msg    string
+		// wireRefuses marks a mutation the Mutate frame cannot carry.
+		wireRefuses bool
+	}{
+		{"unknown segment", tenant.DefaultTenant,
+			`{"op": "revoke", "segment": "nonesuch"}`,
+			Mutation{Op: MutRevoke, Segment: "nonesuch"},
+			CodeNotFound, `unknown segment "nonesuch"`, false},
+		{"inverted brackets", tenant.DefaultTenant,
+			`{"op": "setbrackets", "segment": "data", "read": true, "r1": 4, "r2": 2, "r3": 1}`,
+			Mutation{Op: MutSetBrackets, Segment: "data", Read: true, Brackets: core.Brackets{R1: 4, R2: 2, R3: 1}},
+			CodeBadRequest, "core: brackets violate R1 ≤ R2 ≤ R3: 4,2,1", false},
+		{"gates beyond seg.MaxGate", "wide",
+			fmt.Sprintf(`{"op": "setbrackets", "segment": "s", "execute": true, "r1": 1, "r2": 3, "r3": 5, "gates": %d}`, seg.MaxGate+1),
+			Mutation{Op: MutSetBrackets, Segment: "s", Execute: true, Brackets: core.Brackets{R1: 1, R2: 3, R3: 5}, Gates: seg.MaxGate + 1},
+			CodeBadRequest, fmt.Sprintf("seg: gate count %d exceeds %d", seg.MaxGate+1, seg.MaxGate), true},
+		{"segno beyond the descriptor segment", tenant.DefaultTenant,
+			`{"op": "revoke", "segno": 256}`,
+			Mutation{Op: MutRevoke, Segno: service.MaxSegments},
+			CodeBadRequest, "service: segment number 256 beyond the descriptor segment", false},
+		{"sealed tenant", "frozen",
+			`{"op": "revoke", "segment": "data"}`,
+			Mutation{Op: MutRevoke, Segment: "data"},
+			CodeConflict, tenant.ErrSealed.Error(), false},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(hs.URL+"/v1/t/"+c.tenant+"/mutate", "application/json", strings.NewReader(c.json))
+		if err != nil {
+			t.Fatalf("%s: POST: %v", c.name, err)
+		}
+		var er tenant.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode HTTP answer: %v", c.name, err)
+		}
+		if resp.StatusCode != int(c.code) || er.Error != c.msg {
+			t.Errorf("%s: HTTP %d %q, want %d %q", c.name, resp.StatusCode, er.Error, c.code, c.msg)
+		}
+
+		cl, err := Dial(addr, ClientConfig{Tenant: c.tenant})
+		if err != nil {
+			t.Fatalf("%s: dial: %v", c.name, err)
+		}
+		_, err = cl.Mutate(c.m)
+		cl.Close()
+		var ef *ErrFrame
+		switch {
+		case c.wireRefuses:
+			if !errors.Is(err, ErrNotEncodable) {
+				t.Errorf("%s: wire = %v, want ErrNotEncodable", c.name, err)
+			}
+		case !errors.As(err, &ef) || ef.Code != c.code || ef.Msg != c.msg:
+			t.Errorf("%s: wire = %v, want code %d %q", c.name, err, c.code, c.msg)
+		}
+	}
+
 }

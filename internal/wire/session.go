@@ -492,34 +492,17 @@ func (s *session) handleMutate(corr uint64, payload []byte) bool {
 		s.writeError(corr, mutateCode(lerr), lerr.Error())
 		return true
 	}
-	st := s.t.Store()
-	segno := m.Segno
-	if m.Segment != "" {
-		n, ok := st.Segno(m.Segment)
-		if !ok {
-			s.writeError(corr, CodeNotFound, fmt.Sprintf("unknown segment %q", m.Segment))
-			return true
-		}
-		segno = n
-	}
-	switch m.Op {
-	case MutSetBrackets:
-		if verr := m.Brackets.Validate(); verr != nil {
-			s.writeError(corr, CodeBadRequest, verr.Error())
-			return true
-		}
-		err = st.SetBrackets(segno, m.Read, m.Write, m.Execute, m.Brackets, m.Gates)
-	case MutRevoke:
-		err = st.Revoke(segno)
-	default:
-		err = st.Restore(segno)
-	}
+	version, err := s.t.Store().Apply(m)
 	if err != nil {
-		s.writeError(corr, CodeBadRequest, err.Error())
+		code := CodeBadRequest
+		if errors.Is(err, service.ErrUnknownSegment) {
+			code = CodeNotFound
+		}
+		s.writeError(corr, code, err.Error())
 		return true
 	}
 	s.wmu.Lock()
-	s.wbuf = EncodeMutated(s.wbuf, corr, st.Version())
+	s.wbuf = EncodeMutated(s.wbuf, corr, version)
 	_, _ = s.conn.Write(s.wbuf)
 	s.wmu.Unlock()
 	return true

@@ -161,8 +161,9 @@ const (
 	// CodeConflict: mutation against a sealed or draining tenant
 	// (HTTP 409) — the seal/drain race answered as an error frame.
 	CodeConflict uint16 = 409
-	// CodeShed: the tenant's bounded decision queue was full; the batch
-	// was shed, not queued (HTTP 429). Retry after backing off.
+	// CodeShed: the tenant's admission bound (Workers+QueueDepth
+	// batches in flight) was reached; the batch was shed, not queued
+	// (HTTP 429). Retry after backing off.
 	CodeShed uint16 = 429
 	// CodeUnavailable: the tenant is loading, draining or closed
 	// (HTTP 503).

@@ -207,6 +207,33 @@ func TestDialRemoteErrors(t *testing.T) {
 	}
 }
 
+// TestRemoteInvalidKindNeverAllowed checks that an access query with
+// an invalid kind is never answered as allowed, on either transport:
+// the wire and the in-process Checker decide it as an error, and over
+// HTTP the server refuses the kind's name with a 400.
+func TestRemoteInvalidKindNeverAllowed(t *testing.T) {
+	fx := startRemoteFixture(t)
+	q := rings.Query{Op: rings.OpAccess, Ring: 4, Segment: "data", Wordno: 3, Kind: 3}
+	for _, transport := range []string{"http", "wire"} {
+		target := fx.httpURL
+		if transport == "wire" {
+			target = fx.wireAddr
+		}
+		rc, err := rings.DialRemote(target, rings.RemoteConfig{Transport: transport})
+		if err != nil {
+			t.Fatalf("DialRemote %s: %v", transport, err)
+		}
+		ds, err := rc.Check(q)
+		rc.Close()
+		switch {
+		case transport == "http" && err == nil:
+			t.Errorf("http: kind 3 answered %+v, want a 400 error", ds[0])
+		case err == nil && (ds[0].Allowed || ds[0].Err == ""):
+			t.Errorf("%s: kind 3 answered %+v, want a denied decision with an error", transport, ds[0])
+		}
+	}
+}
+
 // TestRemoteWireShedMapsToErrQueueFull checks the wire transport's shed
 // frame folds back to the rings.ErrQueueFull in-process callers match
 // on. A 1-worker, depth-1 tenant is plugged by oversized in-process
