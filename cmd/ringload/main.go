@@ -63,7 +63,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -311,94 +310,20 @@ func (d *checkerDriver) submit(_ int, batch []rings.Query, dst []rings.Decision)
 
 func (d *checkerDriver) close() { d.chk.Close() }
 
-// httpDriver replays the batches against a running ringd. Request
-// bodies are marshalled once per pool batch and reused.
-type httpDriver struct {
-	target string
-	client *http.Client
-	bodies map[*rings.Query][]byte // keyed by &batch[0]
-	mu     sync.Mutex
-}
+// remoteDriver replays the batches against a running ringd through
+// ONE rings.RemoteChecker shared by every client goroutine. Over the
+// wire, concurrent submits pipeline down one persistent session and
+// complete out of order by correlation ID — the transport shape
+// -listen-wire exists for (per-client sessions would measure
+// connection fan-out, not streaming); over HTTP they share one
+// keep-alive connection pool.
+type remoteDriver struct{ rc *rings.RemoteChecker }
 
-func newHTTPDriver(target string) *httpDriver {
-	return &httpDriver{
-		target: strings.TrimSuffix(target, "/"),
-		client: &http.Client{Timeout: 30 * time.Second},
-		bodies: make(map[*rings.Query][]byte),
-	}
-}
-
-// segments asks /healthz how many segments the served image holds, so
-// generated segnos stay mostly in range.
-func (d *httpDriver) segments() (uint32, error) {
-	resp, err := d.client.Get(d.target + "/healthz")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var h tenant.HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return 0, err
-	}
-	if !h.OK || h.Segments <= 0 {
-		return 0, fmt.Errorf("target unhealthy: %+v", h)
-	}
-	return uint32(h.Segments), nil
-}
-
-func (d *httpDriver) body(batch []rings.Query) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if b, ok := d.bodies[&batch[0]]; ok {
-		return b, nil
-	}
-	b, err := json.Marshal(tenant.NewCheckRequest(batch))
-	if err == nil {
-		d.bodies[&batch[0]] = b
-	}
-	return b, err
-}
-
-func (d *httpDriver) submit(_ int, batch []rings.Query, dst []rings.Decision) (bool, error) {
-	body, err := d.body(batch)
-	if err != nil {
-		return false, err
-	}
-	resp, err := d.client.Post(d.target+"/v1/check", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		io.Copy(io.Discard, resp.Body)
-		return true, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return false, fmt.Errorf("/v1/check: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	var cr tenant.CheckResponse
-	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-		return false, err
-	}
-	if len(cr.Decisions) != len(batch) {
-		return false, fmt.Errorf("/v1/check: %d decisions for %d queries", len(cr.Decisions), len(batch))
-	}
-	copy(dst, cr.Decisions)
-	return false, nil
-}
-
-func (d *httpDriver) close() {}
-
-// wireDriver replays the batches over ONE binary streaming session
-// shared by every client goroutine: concurrent submits pipeline down
-// the persistent connection and complete out of order by correlation
-// ID — the transport shape -listen-wire exists for. (Per-client
-// sessions would measure connection fan-out, not streaming.)
-type wireDriver struct{ rc *rings.RemoteChecker }
-
-func dialWireDriver(target string) (*wireDriver, uint32, error) {
-	rc, err := rings.DialRemote(target, rings.RemoteConfig{Transport: "wire"})
+// dialRemoteDriver connects over transport ("http" or "wire") and asks
+// the target how many segments the served image holds, so generated
+// segnos stay mostly in range.
+func dialRemoteDriver(target, transport string) (*remoteDriver, uint32, error) {
+	rc, err := rings.DialRemote(target, rings.RemoteConfig{Transport: transport})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -411,10 +336,10 @@ func dialWireDriver(target string) (*wireDriver, uint32, error) {
 		rc.Close()
 		return nil, 0, fmt.Errorf("target unhealthy: %+v", h)
 	}
-	return &wireDriver{rc: rc}, uint32(h.Segments), nil
+	return &remoteDriver{rc: rc}, uint32(h.Segments), nil
 }
 
-func (d *wireDriver) submit(_ int, batch []rings.Query, dst []rings.Decision) (bool, error) {
+func (d *remoteDriver) submit(_ int, batch []rings.Query, dst []rings.Decision) (bool, error) {
 	err := d.rc.CheckInto(batch, dst)
 	if errors.Is(err, rings.ErrQueueFull) {
 		return true, nil
@@ -422,7 +347,7 @@ func (d *wireDriver) submit(_ int, batch []rings.Query, dst []rings.Decision) (b
 	return false, err
 }
 
-func (d *wireDriver) close() { d.rc.Close() }
+func (d *remoteDriver) close() { d.rc.Close() }
 
 // ---- T16: transport comparison ----
 
@@ -467,11 +392,16 @@ func runT16(cfg config) ([]jsonResult, error) {
 	cfg.mutators = 0 // both transports drive decisions only
 	pools := genBatches(cfg, uint32(len(segs)))
 
-	httpRes, err := runTrial(cfg, newHTTPDriver("http://"+hln.Addr().String()), nil, pools)
+	hd, _, err := dialRemoteDriver("http://"+hln.Addr().String(), "http")
 	if err != nil {
 		return nil, err
 	}
-	wd, _, err := dialWireDriver(wln.Addr().String())
+	httpRes, err := runTrial(cfg, hd, nil, pools)
+	hd.close()
+	if err != nil {
+		return nil, err
+	}
+	wd, _, err := dialRemoteDriver(wln.Addr().String(), "wire")
 	if err != nil {
 		return nil, err
 	}
@@ -550,7 +480,7 @@ func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tena
 	if err != nil {
 		return nil, rings.CacheStats{}, err
 	}
-	d := &wireDriver{rc: rc}
+	d := &remoteDriver{rc: rc}
 
 	stopMut := make(chan struct{})
 	var mutWG sync.WaitGroup
@@ -1185,15 +1115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var results []jsonResult
 	switch {
 	case cfg.target != "":
-		var d driver
-		var segments uint32
-		if cfg.transport == "wire" {
-			d, segments, err = dialWireDriver(cfg.target)
-		} else {
-			hd := newHTTPDriver(cfg.target)
-			segments, err = hd.segments()
-			d = hd
-		}
+		d, segments, err := dialRemoteDriver(cfg.target, cfg.transport)
 		if err != nil {
 			fmt.Fprintln(stderr, "ringload:", err)
 			return 1

@@ -8,8 +8,9 @@ import (
 )
 
 // The JSON messages of the decision endpoints. The handler serves
-// them, and the HTTP clients (rings.RemoteChecker, cmd/ringload) send
-// and read the same types, so the wire schema is written down once.
+// them, and the HTTP client (rings.RemoteChecker) sends and reads the
+// same types, so the wire schema is written down once; codec.go
+// encodes and parses the two /v1/check messages without reflection.
 
 // CheckRequest is the body of POST /v1/check.
 type CheckRequest struct {
@@ -30,29 +31,9 @@ type CheckQuery struct {
 	Chain       []service.ChainStep `json:"chain,omitempty"`
 }
 
-// NewCheckRequest encodes a batch of queries. An access query's kind
-// is written by name; an invalid kind keeps its invalid name
-// ("AccessKind(3)"), which the server refuses rather than reading as
-// the default.
-func NewCheckRequest(queries []service.Query) CheckRequest {
-	req := CheckRequest{Queries: make([]CheckQuery, len(queries))}
-	for i, q := range queries {
-		cq := CheckQuery{Op: string(q.Op), Ring: uint8(q.Ring), Segment: q.Segment, Segno: q.Segno,
-			Wordno: q.Wordno, SameSegment: q.SameSegment, Chain: q.Chain}
-		if q.Op == service.OpAccess {
-			cq.Kind = q.Kind.String()
-		}
-		if q.EffRing != nil {
-			r := uint8(*q.EffRing)
-			cq.EffRing = &r
-		}
-		req.Queries[i] = cq
-	}
-	return req
-}
-
 // Query decodes the JSON form, rejecting unknown access kinds. An
 // empty kind reads as "read", and "fetch" is a synonym for "execute".
+// The query shares cq's EffRing and Chain.
 func (cq CheckQuery) Query() (service.Query, error) {
 	q := service.Query{
 		Op:          service.Op(cq.Op),
@@ -64,8 +45,7 @@ func (cq CheckQuery) Query() (service.Query, error) {
 		Chain:       cq.Chain,
 	}
 	if cq.EffRing != nil {
-		r := core.Ring(*cq.EffRing)
-		q.EffRing = &r
+		q.EffRing = (*core.Ring)(cq.EffRing)
 	}
 	switch cq.Kind {
 	case "", "read":

@@ -1,12 +1,16 @@
 package tenant
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
+	"sync"
 
 	"repro/internal/service"
 )
@@ -110,7 +114,12 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // bytes. On failure it answers 413 (body too large) or 400 and
 // reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	return decodeFrom(w, http.MaxBytesReader(w, r.Body, limit), limit, v)
+}
+
+// decodeFrom is decodeBody over a reader already capped at limit bytes.
+func decodeFrom(w http.ResponseWriter, rd io.Reader, limit int64, v interface{}) bool {
+	err := json.NewDecoder(rd).Decode(v)
 	if err == nil {
 		return true
 	}
@@ -293,7 +302,11 @@ func (h *Handler) handleEvict(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, lifecycleResponse{OK: true, Name: name, State: StateEvicted.String()})
 }
 
-// serveCheck answers a decision batch for t.
+// serveCheck answers a decision batch for t. The body is read whole
+// into a pooled buffer and parsed by the codec; a body outside the
+// codec's subset, or one whose read failed (413 included), goes to
+// encoding/json with the same bytes and the same read error, so it is
+// answered exactly as the reference decoder answers it.
 func serveCheck(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	if err := t.checkable(); err != nil {
 		lifecycleError(w, err, false)
@@ -304,32 +317,58 @@ func serveCheck(w http.ResponseWriter, r *http.Request, t *Tenant) {
 		return
 	}
 	limit := t.Service().BatchLimit()
-	var req CheckRequest
-	if !decodeBody(w, r, int64(limit)*maxQueryBytes, &req) {
-		return
+	maxBytes := int64(limit) * maxQueryBytes
+	sc := checkScratches.Get().(*checkScratch)
+	defer sc.release()
+	sc.body.Reset()
+	_, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBytes))
+	var cqs []CheckQuery
+	ok := false
+	if err == nil {
+		cqs, ok = sc.parse(sc.body.Bytes(), limit)
 	}
-	if len(req.Queries) == 0 {
+	if !ok {
+		var rd io.Reader = bytes.NewReader(sc.body.Bytes())
+		if err != nil {
+			rd = io.MultiReader(rd, errReader{err})
+		}
+		var req CheckRequest
+		if !decodeFrom(w, rd, maxBytes, &req) {
+			return
+		}
+		cqs = req.Queries
+	}
+	if len(cqs) == 0 {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "empty batch"})
 		return
 	}
-	if len(req.Queries) > limit {
+	if len(cqs) > limit {
 		writeJSON(w, http.StatusBadRequest,
-			ErrorResponse{Error: fmt.Sprintf("%v: %d > %d", service.ErrBatchTooLarge, len(req.Queries), limit)})
+			ErrorResponse{Error: fmt.Sprintf("%v: %d > %d", service.ErrBatchTooLarge, len(cqs), limit)})
 		return
 	}
-	queries := make([]service.Query, len(req.Queries))
-	for i, cq := range req.Queries {
-		q, err := cq.Query()
+	sc.queries = sc.queries[:0]
+	for i := range cqs {
+		q, err := cqs[i].Query()
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("query %d: %v", i, err)})
 			return
 		}
-		queries[i] = q
+		sc.queries = append(sc.queries, q)
 	}
-	ds, err := t.Submit(r.Context(), queries)
+	if cap(sc.decisions) < len(cqs) {
+		sc.decisions = make([]service.Decision, len(cqs))
+	}
+	ds := sc.decisions[:len(cqs)]
+	err = t.SubmitInto(r.Context(), sc.queries, ds)
 	switch {
 	case err == nil:
-		writeJSON(w, http.StatusOK, CheckResponse{Decisions: ds})
+		sc.out = AppendCheckResponse(sc.out[:0], ds)
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(sc.out)))
+		w.WriteHeader(http.StatusOK)
+		w.Write(sc.out)
 	case errors.Is(err, service.ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: err.Error()})
@@ -341,6 +380,37 @@ func serveCheck(w http.ResponseWriter, r *http.Request, t *Tenant) {
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error()})
 	}
 }
+
+// checkScratch is serveCheck's per-request state, pooled: the body,
+// the parsed queries, their decisions and the encoded response.
+type checkScratch struct {
+	requestParser
+	body      bytes.Buffer
+	queries   []service.Query
+	decisions []service.Decision
+	out       []byte
+}
+
+var checkScratches = sync.Pool{New: func() any { return new(checkScratch) }}
+
+// maxPooledBatch and maxPooledBytes bound what a pooled scratch keeps:
+// a larger batch or body is served, then left to the collector.
+const (
+	maxPooledBatch = 256
+	maxPooledBytes = 64 << 10
+)
+
+func (sc *checkScratch) release() {
+	if cap(sc.queries) > maxPooledBatch || cap(sc.cqs) > maxPooledBatch || sc.body.Cap() > maxPooledBytes {
+		return
+	}
+	checkScratches.Put(sc)
+}
+
+// errReader replays a read error after the bytes read before it.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // serveMutate applies one supervisor edit to t.
 func serveMutate(w http.ResponseWriter, r *http.Request, t *Tenant) {

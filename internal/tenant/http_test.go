@@ -342,6 +342,34 @@ func TestHTTPCheck(t *testing.T) {
 	}
 }
 
+// TestHTTPCheckFallback checks that a batch outside the codec's subset
+// (escaped strings, case-folded, unknown and duplicate keys, null,
+// trailing data), which encoding/json decodes instead, is answered
+// byte for byte as the same batch inside it, and that a 200 carries
+// Content-Length.
+func TestHTTPCheckFallback(t *testing.T) {
+	_, ts := serveDefault(t, TenantConfig{Workers: 1})
+	// Enough queries that the answer outgrows net/http's buffer, past
+	// which a response without Content-Length is chunked.
+	const n = 20
+	last := `{"op":"call","ring":4,"segment":"code","wordno":1}]}`
+	subset := `{"queries":[` + strings.Repeat(`{"op":"access","ring":4,"segment":"data","wordno":3,"kind":"read"},`+
+		`{"op":"effring","ring":2,"chain":[{"pr":true,"ring":3}]},`, n) + last
+	outside := `{"queries":[` + strings.Repeat(`{"OP":"\u0061ccess","ring":4,"segment":"data","wordno":3,"kind":"read","color":null},`+
+		`{"op":"effring","Ring":2,"chain":[{"pr":false,"pr":true,"ring":3}]},`, n) + last + " trailing"
+	var bodies [2][]byte
+	for i, body := range []string{subset, outside} {
+		resp, out := goldenDo(t, "POST", ts.URL+"/v1/check", body, http.StatusOK)
+		if resp.ContentLength != int64(len(out)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("body %d: Content-Length %d, transfer encoding %v for %d bytes", i, resp.ContentLength, resp.TransferEncoding, len(out))
+		}
+		bodies[i] = out
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Errorf("fallback answer differs:\n%s\nsubset answer:\n%s", bodies[1], bodies[0])
+	}
+}
+
 // TestHTTPCheckErrors covers the 4xx paths of /v1/check.
 func TestHTTPCheckErrors(t *testing.T) {
 	_, ts := serveDefault(t, TenantConfig{Workers: 1, BatchLimit: 2})

@@ -165,10 +165,7 @@ func TestDifferentialGoldenReplay(t *testing.T) {
 // returns the decisions.
 func httpCheck(t *testing.T, url string, queries []service.Query) []service.Decision {
 	t.Helper()
-	body, err := json.Marshal(tenant.NewCheckRequest(queries))
-	if err != nil {
-		t.Fatalf("marshal check request: %v", err)
-	}
+	body := tenant.AppendCheckRequest(nil, queries)
 	resp, err := http.Post(url+"/v1/check", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("http check: %v", err)

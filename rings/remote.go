@@ -99,8 +99,13 @@ func DialRemote(target string, cfg RemoteConfig) (*RemoteChecker, error) {
 			return nil, errors.New("rings: decision-lease cache requires the wire transport (no shootdown stream over HTTP)")
 		}
 		base := strings.TrimSuffix(target, "/")
+		// A transport of its own: http.DefaultTransport keeps two idle
+		// connections per host, so a checker shared by more goroutines
+		// would redial on most calls.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = tr.MaxIdleConns
 		rc := &RemoteChecker{
-			hc:     &http.Client{Timeout: cfg.Timeout},
+			hc:     &http.Client{Timeout: cfg.Timeout, Transport: tr},
 			target: base,
 			health: base + "/healthz",
 		}
@@ -168,10 +173,14 @@ func (rc *RemoteChecker) Check(queries ...Query) ([]Decision, error) {
 
 // CheckInto answers a batch into a caller-supplied decision slice,
 // mirroring Checker.CheckInto. A shed batch (the remote queue was
-// full) reports ErrQueueFull, whichever transport carried it.
+// full) reports ErrQueueFull, whichever transport carried it. An empty
+// batch is answered here, with no round trip.
 func (rc *RemoteChecker) CheckInto(queries []Query, dst []Decision) error {
 	if len(dst) < len(queries) {
 		return errors.New("rings: dst shorter than queries")
+	}
+	if len(queries) == 0 {
+		return nil
 	}
 	if rc.cache != nil {
 		return rc.cachedCheckInto(queries, dst)
@@ -179,11 +188,26 @@ func (rc *RemoteChecker) CheckInto(queries []Query, dst []Decision) error {
 	if wc := rc.wcp.Load(); wc != nil {
 		return mapWireErr(wc.CheckInto(queries, dst))
 	}
-	body, err := json.Marshal(tenant.NewCheckRequest(queries))
+	return rc.httpCheckInto(queries, dst[:len(queries)])
+}
+
+// httpCheckInto posts one batch, encoded by the tenant codec, and
+// parses the decisions straight into dst, falling back to
+// encoding/json for a response outside the codec's subset.
+func (rc *RemoteChecker) httpCheckInto(queries []Query, dst []Decision) error {
+	body := newCheckBody(queries)
+	req, err := http.NewRequest(http.MethodPost, rc.target+"/check", body)
 	if err != nil {
+		body.Close()
 		return err
 	}
-	resp, err := rc.hc.Post(rc.target+"/check", "application/json", bytes.NewReader(body))
+	req.ContentLength = int64(body.Len())
+	req.GetBody = func() (io.ReadCloser, error) {
+		// A redirect or a retry on a dead keep-alive connection.
+		return io.NopCloser(bytes.NewReader(tenant.AppendCheckRequest(nil, queries))), nil
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := rc.hc.Do(req)
 	if err != nil {
 		return err
 	}
@@ -195,14 +219,64 @@ func (rc *RemoteChecker) CheckInto(queries []Query, dst []Decision) error {
 	if resp.StatusCode != http.StatusOK {
 		return httpError(resp)
 	}
-	var cr tenant.CheckResponse
-	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
+	buf := responseBufs.Get().(*bytes.Buffer)
+	defer putResponseBuf(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return err
 	}
-	if len(cr.Decisions) != len(queries) {
-		return fmt.Errorf("rings: %d decisions for %d queries", len(cr.Decisions), len(queries))
+	n, ok := tenant.ParseCheckResponse(buf.Bytes(), dst)
+	if !ok {
+		var cr tenant.CheckResponse
+		if err := json.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&cr); err != nil {
+			return err
+		}
+		if n = len(cr.Decisions); n == len(dst) {
+			copy(dst, cr.Decisions)
+		}
 	}
-	copy(dst, cr.Decisions)
+	if n != len(dst) {
+		return fmt.Errorf("rings: %d decisions for %d queries", n, len(dst))
+	}
+	return nil
+}
+
+// checkBody is a request body over a pooled buffer. net/http may still
+// be reading it after Do returns, so the buffer goes back to the pool
+// when the transport closes the body, and only the first time.
+type checkBody struct {
+	bytes.Reader
+	buf atomic.Pointer[[]byte]
+}
+
+var (
+	requestBufs  = sync.Pool{New: func() any { return new([]byte) }}
+	responseBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+)
+
+// maxPooledBuf bounds the buffers kept for reuse: one large batch's
+// are left to the collector.
+const maxPooledBuf = 64 << 10
+
+func putResponseBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		responseBufs.Put(buf)
+	}
+}
+
+func newCheckBody(queries []Query) *checkBody {
+	buf := requestBufs.Get().(*[]byte)
+	*buf = tenant.AppendCheckRequest((*buf)[:0], queries)
+	cb := new(checkBody)
+	cb.Reset(*buf)
+	cb.buf.Store(buf)
+	return cb
+}
+
+func (cb *checkBody) Close() error {
+	if buf := cb.buf.Swap(nil); buf != nil && cap(*buf) <= maxPooledBuf {
+		requestBufs.Put(buf)
+	}
 	return nil
 }
 

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,21 +191,110 @@ func TestDialRemoteErrors(t *testing.T) {
 	if _, err := rings.DialRemote(fx.wireAddr, rings.RemoteConfig{Tenant: "ghost"}); err == nil {
 		t.Error("unknown wire tenant: want handshake error")
 	}
+}
 
-	for _, transport := range []string{"http", "wire"} {
-		target := fx.httpURL
-		if transport == "wire" {
-			target = fx.wireAddr
-		}
-		rc, err := rings.DialRemote(target, rings.RemoteConfig{Transport: transport})
+// TestEmptyBatchAnsweredLocally checks that every checker answers an
+// empty batch with nil: the in-process Checker decides nothing, and
+// each remote mode answers without a round trip (the servers still
+// refuse an empty body with 400).
+func TestEmptyBatchAnsweredLocally(t *testing.T) {
+	fx := startRemoteFixture(t)
+	chk, err := rings.NewChecker(checkerImage())
+	if err != nil {
+		t.Fatalf("NewChecker: %v", err)
+	}
+	defer chk.Close()
+	type checker interface {
+		CheckInto([]rings.Query, []rings.Decision) error
+	}
+	checkers := map[string]checker{"in-process": chk}
+	for _, tc := range []struct {
+		name, target string
+		cfg          rings.RemoteConfig
+	}{
+		{"http", fx.httpURL, rings.RemoteConfig{Transport: "http"}},
+		{"wire", fx.wireAddr, rings.RemoteConfig{Transport: "wire"}},
+		{"wire-cached", fx.wireAddr, rings.RemoteConfig{Transport: "wire", CacheSize: 16}},
+	} {
+		rc, err := rings.DialRemote(tc.target, tc.cfg)
 		if err != nil {
-			t.Fatalf("DialRemote %s: %v", transport, err)
+			t.Fatalf("DialRemote %s: %v", tc.name, err)
 		}
-		// An empty batch is a remote-side 400 on both transports.
-		if err := rc.CheckInto(nil, nil); err == nil {
-			t.Errorf("%s: empty batch: want error", transport)
+		defer rc.Close()
+		checkers[tc.name] = rc
+	}
+	for name, c := range checkers {
+		if err := c.CheckInto(nil, nil); err != nil {
+			t.Errorf("%s: empty batch: %v, want nil", name, err)
 		}
-		rc.Close()
+		if err := c.CheckInto([]rings.Query{}, make([]rings.Decision, 1)); err != nil {
+			t.Errorf("%s: empty batch into a longer dst: %v, want nil", name, err)
+		}
+	}
+}
+
+// TestHTTPRemoteReusesConnections checks that one HTTP RemoteChecker
+// shared by more goroutines than http.DefaultTransport keeps idle per
+// host holds its connections open instead of redialling: after a
+// warm-up round, eight goroutines making 2400 calls open at most eight
+// more connections. (The warm-up may open a few spares: net/http
+// finishes a dial it started even when a returning connection serves
+// the waiting request first.)
+func TestHTTPRemoteReusesConnections(t *testing.T) {
+	reg := tenant.NewRegistry(tenant.Config{MaxTenants: 1, WorkerBudget: 8})
+	if _, err := reg.Load(tenant.DefaultTenant, checkerImage(), tenant.TenantConfig{Workers: 8}); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	h := tenant.NewHandler(reg, tenant.HandlerOptions{})
+	var opened atomic.Int64
+	hs := httptest.NewUnstartedServer(h)
+	hs.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	hs.Start()
+	defer func() {
+		hs.Close()
+		h.Close()
+	}()
+
+	rc, err := rings.DialRemote(hs.URL, rings.RemoteConfig{Transport: "http"})
+	if err != nil {
+		t.Fatalf("DialRemote: %v", err)
+	}
+	defer rc.Close()
+	const goroutines = 8
+	queries := remoteQueries()
+	load := func(calls int) {
+		t.Helper()
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dst := make([]rings.Decision, len(queries))
+				for i := 0; i < calls/goroutines; i++ {
+					if err := rc.CheckInto(queries, dst); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("CheckInto: %v", err)
+		}
+	}
+	load(8 * goroutines)
+	warm := opened.Load()
+	const calls = 2400
+	load(calls)
+	if n := opened.Load() - warm; n > goroutines {
+		t.Errorf("%d goroutines opened %d connections over %d calls after warm-up, want at most %d", goroutines, n, calls, goroutines)
 	}
 }
 
