@@ -35,8 +35,9 @@ func collectKeys(v interface{}, out map[string]bool) {
 // "ring-switch"), is snake_case.
 func TestMetricsKeysAreSnakeCase(t *testing.T) {
 	svc := newTestService(t, Config{Workers: 1})
-	// Traffic that populates faults (a read-bracket denial) and trace
-	// events (validations, a ring switch via CALL).
+	// Traffic that populates faults (a read-bracket denial) and events
+	// (the read check's validate event; the service records no other
+	// kind, so the CALL adds none).
 	qs := []Query{
 		{Op: OpAccess, Ring: 7, Segment: "secret", Kind: core.AccessRead},
 		{Op: OpCall, Ring: 4, Segment: "code", Wordno: 1},

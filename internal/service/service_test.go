@@ -1130,18 +1130,31 @@ func TestStoreRejectsInvalidDescriptors(t *testing.T) {
 	}
 }
 
-// TestMetricsSnapshot checks the /metrics counters after known traffic.
+// TestMetricsSnapshot checks the /metrics counters after known traffic:
+// a 12-query mixed batch, submitted five times. The read and event
+// counters are pinned to exact values: a pin per consulted shard per
+// batch, a lookup per descriptor read, and a validate event per read or
+// write check (an effring chain's indirect words included; instruction
+// fetches, CALL and RETURN record none).
 func TestMetricsSnapshot(t *testing.T) {
 	svc := newTestService(t, Config{Workers: 2})
 	qs := []Query{
-		{Op: OpAccess, Ring: 4, Segment: "data", Kind: core.AccessRead},   // allowed
-		{Op: OpAccess, Ring: 5, Segment: "data", Kind: core.AccessRead},   // read bracket fault
-		{Op: OpCall, Ring: 4, Segment: "code", Wordno: 1},                 // allowed
-		{Op: OpReturn, Ring: 3, Segment: "code", EffRing: ring(1)},        // trap
-		{Op: OpEffRing, Ring: 1, Chain: []ChainStep{{Ring: 0, Segno: 0}}}, // allowed
-		{Op: OpAccess, Ring: 3, Segment: "nonesuch"},                      // error
+		{Op: OpAccess, Ring: 4, Segment: "data", Kind: core.AccessRead},    // allowed
+		{Op: OpAccess, Ring: 5, Segment: "data", Kind: core.AccessRead},    // read bracket fault
+		{Op: OpCall, Ring: 4, Segment: "code", Wordno: 1},                  // allowed
+		{Op: OpReturn, Ring: 3, Segment: "code", EffRing: ring(1)},         // trap
+		{Op: OpEffRing, Ring: 1, Chain: []ChainStep{{Ring: 0, Segno: 0}}},  // allowed
+		{Op: OpAccess, Ring: 3, Segment: "nonesuch"},                       // error
+		{Op: OpAccess, Ring: 2, Segment: "data", Kind: core.AccessWrite},   // allowed
+		{Op: OpAccess, Ring: 2, Segment: "code", Kind: core.AccessExecute}, // allowed
+		{Op: OpAccess, Ring: 3, Segno: 99, Kind: core.AccessRead},          // missing segment
+		{Op: OpEffRing, Ring: 1, Chain: []ChainStep{ // read bracket fault on the indirect word
+			{PR: true, Ring: 2}, {Ring: 0, Segno: 2}}},
+		{Op: OpEffRing, Ring: 0, Chain: []ChainStep{ // allowed, two shards
+			{Ring: 0, Segno: 0}, {Ring: 1, Segno: 1}}},
+		{Op: OpCall, Ring: 2, Segment: "code", Wordno: 5, SameSegment: true}, // allowed
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 5; i++ {
 		if _, err := svc.Submit(context.Background(), qs); err != nil {
 			t.Fatalf("Submit: %v", err)
 		}
@@ -1150,29 +1163,31 @@ func TestMetricsSnapshot(t *testing.T) {
 	if snap.Workers != 2 || snap.QueueCap != 64 {
 		t.Errorf("shape: workers=%d cap=%d", snap.Workers, snap.QueueCap)
 	}
-	if snap.Batches != 3 || snap.Queries != 18 {
-		t.Errorf("batches=%d queries=%d, want 3/18", snap.Batches, snap.Queries)
+	if snap.Batches != 5 || snap.Queries != 60 {
+		t.Errorf("batches=%d queries=%d, want 5/60", snap.Batches, snap.Queries)
 	}
-	if snap.Allowed != 12 || snap.Denied != 3 || snap.Errors != 3 || snap.Trapped != 3 {
-		t.Errorf("allowed=%d denied=%d errors=%d trapped=%d, want 12/3/3/3",
+	if snap.Allowed != 40 || snap.Denied != 15 || snap.Errors != 5 || snap.Trapped != 5 {
+		t.Errorf("allowed=%d denied=%d errors=%d trapped=%d, want 40/15/5/5",
 			snap.Allowed, snap.Denied, snap.Errors, snap.Trapped)
 	}
-	if snap.Ops[string(OpAccess)] != 9 || snap.Ops[string(OpCall)] != 3 ||
-		snap.Ops[string(OpReturn)] != 3 || snap.Ops[string(OpEffRing)] != 3 {
+	if snap.Ops[string(OpAccess)] != 30 || snap.Ops[string(OpCall)] != 10 ||
+		snap.Ops[string(OpReturn)] != 5 || snap.Ops[string(OpEffRing)] != 15 {
 		t.Errorf("per-op counts wrong: %v", snap.Ops)
 	}
-	if snap.Faults[metricKey(core.ViolationReadBracket.String())] != 3 {
+	if len(snap.Faults) != 2 || snap.Faults[metricKey(core.ViolationReadBracket.String())] != 10 ||
+		snap.Faults[metricKey(core.ViolationMissingSegment.String())] != 5 {
 		t.Errorf("faults: %v", snap.Faults)
 	}
-	if snap.Reads.Pins == 0 || snap.Reads.Lookups == 0 {
-		t.Errorf("snapshot-read counters not exercised: %+v", snap.Reads)
+	// Batches submitted one after another all take the first free slot.
+	wantReads := ReaderSnapshot{Pins: 20, Lookups: 60}
+	if snap.Reads != wantReads {
+		t.Errorf("reads = %+v, want %+v", snap.Reads, wantReads)
 	}
-	if snap.Reads.Lookups < snap.Reads.Pins {
-		t.Errorf("lookups %d < pins %d; every pin serves at least one lookup",
-			snap.Reads.Lookups, snap.Reads.Pins)
+	if len(snap.PerWorkerReads) != 2 || snap.PerWorkerReads[0] != wantReads || snap.PerWorkerReads[1] != (ReaderSnapshot{}) {
+		t.Errorf("per-worker reads = %+v, want [%+v {}]", snap.PerWorkerReads, wantReads)
 	}
-	if len(snap.PerWorkerReads) != 2 {
-		t.Errorf("per-worker read entries = %d, want 2", len(snap.PerWorkerReads))
+	if len(snap.Events) != 1 || snap.Events["validate"] != 40 {
+		t.Errorf("events = %v, want map[validate:40]", snap.Events)
 	}
 	if snap.RCU.Readers != 2 {
 		t.Errorf("registered readers = %d, want 2 (one per decision slot)", snap.RCU.Readers)
@@ -1186,8 +1201,5 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	if latTotal != snap.Batches {
 		t.Errorf("latency histogram sums to %d, want %d batches", latTotal, snap.Batches)
-	}
-	if len(snap.Events) == 0 {
-		t.Error("no trace events recorded")
 	}
 }
