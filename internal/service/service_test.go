@@ -1130,6 +1130,44 @@ func TestStoreRejectsInvalidDescriptors(t *testing.T) {
 	}
 }
 
+// TestMutateUndefinedSegment checks that a mutation naming a segment
+// number below MaxSegments that the image never defined is refused as
+// an unknown segment: nothing is published, no shootdown fires, and the
+// number still decides as a missing segment.
+func TestMutateUndefinedSegment(t *testing.T) {
+	svc := newTestService(t, Config{Workers: 1})
+	st := svc.Store()
+	hooks := 0
+	st.SetPublishHook(func(int, uint32, uint64) { hooks++ })
+	probe := []Query{{Op: OpAccess, Ring: 3, Segno: 100, Kind: core.AccessRead}}
+	code := core.Brackets{R1: 1, R2: 3, R3: 5}
+	for _, segno := range []uint32{uint32(len(testSegments())), 100, MaxSegments - 1} {
+		for _, m := range []Mutation{
+			{Op: MutRestore, Segno: segno},
+			{Op: MutSetBrackets, Segno: segno, Read: true, Brackets: code},
+			{Op: MutRevoke, Segno: segno},
+		} {
+			_, err := st.Apply(m)
+			if want := fmt.Sprintf("unknown segment %d", segno); !errors.Is(err, ErrUnknownSegment) || err.Error() != want {
+				t.Errorf("%s segno %d: err = %v, want %q", m.Op, segno, err, want)
+			}
+		}
+	}
+	if _, err := st.Apply(Mutation{Op: MutRestore, Segno: MaxSegments}); err == nil || errors.Is(err, ErrUnknownSegment) {
+		t.Errorf("restore segno %d: err = %v, want the beyond-the-descriptor-segment error", MaxSegments, err)
+	}
+	if p := st.RCUStats().Publishes; p != 0 || hooks != 0 {
+		t.Errorf("refused mutations published %d snapshots and fired %d shootdowns, want none", p, hooks)
+	}
+	ds, err := svc.Submit(context.Background(), probe)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if ds[0].ViolationKind != core.ViolationMissingSegment {
+		t.Errorf("segno 100 decides %+v, want a missing segment", ds[0])
+	}
+}
+
 // TestMetricsSnapshot checks the /metrics counters after known traffic:
 // a 12-query mixed batch, submitted five times. The read and event
 // counters are pinned to exact values: a pin per consulted shard per

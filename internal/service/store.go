@@ -267,7 +267,8 @@ func (st *Store) Version() uint64 {
 // snapshot, stamped with the closing (even) epoch, so decisions pick
 // up the edit on their next batch without ever locking. A rejected
 // edit publishes nothing and leaves the old snapshot current; the
-// epoch still closes even.
+// epoch still closes even. Segment numbers the image never defined are
+// rejected like any other edit.
 func (st *Store) mutate(segno uint32, edit func(seg.SDW) (seg.SDW, error)) error {
 	shi := st.ShardOf(segno)
 	sh := &st.shards[shi]
@@ -277,6 +278,9 @@ func (st *Store) mutate(segno uint32, edit func(seg.SDW) (seg.SDW, error)) error
 	defer sh.epoch.Add(1)
 	if segno >= MaxSegments {
 		return fmt.Errorf("service: segment number %d beyond the descriptor segment", segno)
+	}
+	if segno >= uint32(len(st.segnos)) {
+		return fmt.Errorf("%w %d", ErrUnknownSegment, segno)
 	}
 	sdw, err := edit(sh.snap.Load().sdws[segno>>st.shardBits])
 	if err == nil {
@@ -366,7 +370,8 @@ type Mutation struct {
 }
 
 // ErrUnknownSegment reports a mutation naming a segment the image does
-// not hold.
+// not hold, by name or by a segment number below MaxSegments that the
+// image never defined.
 var ErrUnknownSegment = errors.New("unknown segment")
 
 // Apply performs m and returns the store version after it: it resolves

@@ -450,6 +450,10 @@ func TestMutationRejectionParity(t *testing.T) {
 			`{"op": "revoke", "segno": 256}`,
 			Mutation{Op: MutRevoke, Segno: service.MaxSegments},
 			CodeBadRequest, "service: segment number 256 beyond the descriptor segment", false},
+		{"segno the image never defined", tenant.DefaultTenant,
+			`{"op": "restore", "segno": 100}`,
+			Mutation{Op: MutRestore, Segno: 100},
+			CodeNotFound, "unknown segment 100", false},
 		{"sealed tenant", "frozen",
 			`{"op": "revoke", "segment": "data"}`,
 			Mutation{Op: MutRevoke, Segment: "data"},
