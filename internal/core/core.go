@@ -157,7 +157,9 @@ const (
 	ViolationRingAlarm
 )
 
-var violationNames = map[ViolationKind]string{
+// violationNames is indexed by kind: every denial names its kind, so
+// the lookup is an array index, not a map probe.
+var violationNames = [ViolationKindCount]string{
 	ViolationNone:           "no violation",
 	ViolationMissingSegment: "missing segment",
 	ViolationBound:          "out of segment bounds",
@@ -173,8 +175,8 @@ var violationNames = map[ViolationKind]string{
 }
 
 func (k ViolationKind) String() string {
-	if s, ok := violationNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(violationNames) {
+		return violationNames[k]
 	}
 	//ring:allow unknown-kind fallback: every architectural kind is interned above
 	return fmt.Sprintf("violation(%d)", int(k))

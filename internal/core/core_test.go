@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -619,6 +621,28 @@ func TestViolationStrings(t *testing.T) {
 	}
 	if ViolationKind(99).String() == "" {
 		t.Error("unknown kind string empty")
+	}
+}
+
+// TestViolationKindStringTable checks the name table behind
+// ViolationKind.String: every kind below ViolationKindCount has its own
+// name, and kinds outside the table still print the numeric fallback.
+func TestViolationKindStringTable(t *testing.T) {
+	seen := map[string]bool{}
+	for k := ViolationKind(0); int(k) < ViolationKindCount; k++ {
+		s := k.String()
+		if s == "" || strings.HasPrefix(s, "violation(") || seen[s] {
+			t.Errorf("kind %d: name %q missing or duplicated", int(k), s)
+		}
+		seen[s] = true
+	}
+	if got := ViolationReadBracket.String(); got != "outside read bracket" {
+		t.Errorf("ViolationReadBracket = %q", got)
+	}
+	for _, k := range []ViolationKind{-1, ViolationKind(ViolationKindCount), 99} {
+		if got, want := k.String(), fmt.Sprintf("violation(%d)", int(k)); got != want {
+			t.Errorf("kind %d = %q, want %q", int(k), got, want)
+		}
 	}
 }
 
