@@ -710,10 +710,10 @@ func TestTracelessStepZeroAlloc(t *testing.T) {
 // ---- Decision service: the zero-allocation submit path ----
 
 // BenchmarkServiceCheckInto measures a complete decision round trip
-// through the service (admission, slot, MMU validation on the calling
-// goroutine) using the allocation-free CheckInto path. Like the traceless step above, 0 B/op is an
-// acceptance criterion — asserted by TestSubmitIntoZeroAlloc in
-// internal/service.
+// through the service (admission, slot, snapshot pin, bracket checks on
+// the calling goroutine) using the allocation-free CheckInto path. Like
+// the traceless step above, 0 B/op is an acceptance criterion —
+// asserted by TestSubmitIntoZeroAlloc in internal/service.
 func BenchmarkServiceCheckInto(b *testing.B) {
 	chk, err := rings.NewCheckerWith(rings.CheckerConfig{Workers: 1}, []rings.Segment{
 		{Name: "data", Size: 64, Read: true, Write: true,

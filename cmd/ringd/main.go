@@ -1,7 +1,7 @@
 // Command ringd is the protection-decision daemon: an image registry
 // serving N independent descriptor spaces (tenants) from one process.
 // Each loaded machine image becomes a tenant with its own sharded
-// descriptor store, its own decision slots — each an MMU reading
+// descriptor store, its own decision slots — each deciding over
 // immutable RCU descriptor snapshots pinned per batch, so decisions
 // never lock against supervisor edits — and its own admission bound,
 // so one hot tenant sheds its own overload instead of starving the
@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8642", "listen address")
 	wireAddr := fs.String("listen-wire", "", "TCP address for the binary streaming protocol (disabled when empty)")
-	workers := fs.Int("workers", 4, "default tenant's decision slots (batches decided at once), one snapshot-reading MMU each")
+	workers := fs.Int("workers", 4, "default tenant's decision slots (batches decided at once), one snapshot reader each")
 	queue := fs.Int("queue", 64, "callers allowed to wait for a decision slot per tenant (beyond that, 429)")
 	batchLimit := fs.Int("batch", 1024, "maximum queries per batch")
 	shards := fs.Int("shards", 0, "descriptor-store shards per tenant (power of two; 0 = default 8)")

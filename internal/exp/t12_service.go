@@ -11,9 +11,9 @@ import (
 )
 
 // T12: the protection-decision service under concurrent load. The
-// service wraps the MMU decision procedure in a set of decision slots
-// — an MMU each, reading immutable RCU descriptor snapshots pinned per
-// batch — shared by concurrent callers, while a supervisor thread
+// service runs the paper's decision procedure in a set of decision
+// slots — each applying internal/core's predicates to immutable RCU
+// descriptor snapshots pinned per batch — shared by concurrent callers, while a supervisor thread
 // streams descriptor edits (SetBrackets, Revoke, Restore) through the
 // store's publish path. Every decision reports the publication epoch of the snapshot
 // it consulted; replaying the same edit script single-threaded gives
@@ -239,7 +239,7 @@ func init() {
 			return fmt.Errorf("/metrics reports an empty latency histogram")
 		}
 
-		r.addf("%d workers (one MMU reading pinned RCU snapshots each), %d clients x %d probe batches,",
+		r.addf("%d workers (one reader of pinned RCU snapshots each), %d clients x %d probe batches,",
 			workers, clients, rounds)
 		r.addf("%d descriptor edits, each publishing a fresh shard snapshot", mutations)
 		r.addf("")

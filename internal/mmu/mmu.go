@@ -44,15 +44,16 @@
 // # Read-only descriptor sources
 //
 // An MMU can instead be pointed at an SDWSource (SetSDWSource): an
-// immutable, concurrency-safe descriptor view such as an RCU snapshot
-// published by the decision service's store. In source mode FetchSDW
-// never touches core, the associative memory, or the shootdown queue —
-// the source is coherent by construction (a new snapshot is a new
-// source state, not an in-place edit), so no invalidation discipline
-// applies. This is the software analogue of the paper's observation
-// that validation is a pure function of descriptor state: the unit
-// evaluates against a fixed configuration, and configuration changes
-// arrive as whole new configurations.
+// immutable, concurrency-safe descriptor view such as a fixed table.
+// In source mode FetchSDW never touches core, the associative memory,
+// or the shootdown queue — the source is coherent by construction (a
+// new configuration is a new source state, not an in-place edit), so
+// no invalidation discipline applies. This is the software analogue of
+// the paper's observation that validation is a pure function of
+// descriptor state. ringperf's mmu rung and the decision service's
+// exhaustive conformance test validate over a static source; the
+// decision service itself uses no MMU, and applies internal/core's
+// predicates directly to descriptors read from its RCU snapshots.
 package mmu
 
 import (
@@ -428,8 +429,8 @@ func (u *MMU) DecideReturn(v core.SDWView, wordno uint32, execRing, effRing core
 
 // Trace detail strings are precomputed so that recording a validation
 // event never concatenates (and therefore never allocates): the sink
-// contract is "cheap when enabled", and the decision service leaves an
-// AtomicCounters sink enabled on its hot path.
+// contract is "cheap when enabled", so a counting sink may stay enabled
+// on a hot reference path.
 const (
 	traceRead = iota
 	traceWrite
@@ -470,10 +471,10 @@ func (u *MMU) traceValidate(what int, ring core.Ring, segno, wordno uint32, viol
 
 // ---- Allocation-free query variants ----
 //
-// Access, Call and Return are the decision-service fast path: one SDW
-// fetch through the associative memory plus the bracket check, with the
-// outcome returned as a bare core.ViolationKind instead of an allocated
-// *core.Violation. They honour the same cost model, tracing and T5
+// Access, Call and Return are the query fast path: one SDW fetch
+// through the associative memory (or the SDWSource) plus the bracket
+// check, with the outcome returned as a bare core.ViolationKind instead
+// of an allocated *core.Violation. They honour the same cost model, tracing and T5
 // ablation rules as the Check*/Decide* forms; the error return is a
 // physical memory fault only, never an access outcome.
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // violationKinds is the number of distinct ViolationKind values.
@@ -18,7 +17,8 @@ const violationKinds = core.ViolationKindCount
 const latencyBuckets = 32
 
 // Counter indices into counters: decision outcomes, then queries per
-// op, then denials per violation kind, then the latency histogram.
+// op, then snapshot reads and validations, then denials per violation
+// kind, then the latency histogram.
 const (
 	cBatches = iota
 	cQueries
@@ -31,47 +31,56 @@ const (
 	cOpReturn
 	cOpEffRing
 	cOpOther
+	cPins                                  // snapshots pinned: one per consulted shard per batch
+	cLookups                               // descriptor reads
+	cValidates                             // read and write checks: the events map's "validate"
 	cFaults                                // violationKinds counters
 	cLatency    = cFaults + violationKinds // latencyBuckets counters
 	numCounters = cLatency + latencyBuckets
 )
 
 // counters is one decision slot's always-on instrumentation: decision
-// counts, faults by kind, and a power-of-two batch-latency histogram.
-// Only the caller holding the slot writes them, so they never bounce
-// between cores; Snapshot sums every slot's counters, a
-// monitoring-grade (not transactionally consistent) view.
+// counts, snapshot reads, validations, faults by kind, and a
+// power-of-two batch-latency histogram. Only the caller holding the
+// slot writes them, once per batch (add), so they never bounce between
+// cores; Snapshot sums every slot's counters, a monitoring-grade (not
+// transactionally consistent) view.
 type counters [numCounters]atomic.Uint64
+
+// tally is one batch's counters in plain words: the slot holder counts
+// each decision into it and adds it to the slot's counters when the
+// batch ends, so deciding performs no atomic read-modify-write.
+type tally [numCounters]uint64
 
 // count tallies one decision.
 //
 //ring:hotpath
-func (c *counters) count(op Op, d *Decision) {
-	c[cQueries].Add(1)
+func (t *tally) count(op Op, d *Decision) {
+	t[cQueries]++
 	switch op {
 	case OpAccess:
-		c[cOpAccess].Add(1)
+		t[cOpAccess]++
 	case OpCall:
-		c[cOpCall].Add(1)
+		t[cOpCall]++
 	case OpReturn:
-		c[cOpReturn].Add(1)
+		t[cOpReturn]++
 	case OpEffRing:
-		c[cOpEffRing].Add(1)
+		t[cOpEffRing]++
 	default:
-		c[cOpOther].Add(1)
+		t[cOpOther]++
 	}
 	switch {
 	case d.Err != "":
-		c[cErrors].Add(1)
+		t[cErrors]++
 	case d.Allowed:
-		c[cAllowed].Add(1)
+		t[cAllowed]++
 		if d.Trapped {
-			c[cTrapped].Add(1)
+			t[cTrapped]++
 		}
 	default:
-		c[cDenied].Add(1)
+		t[cDenied]++
 		if k := int(d.ViolationKind); k >= 0 && k < violationKinds {
-			c[cFaults+k].Add(1)
+			t[cFaults+k]++
 		}
 	}
 }
@@ -80,13 +89,25 @@ func (c *counters) count(op Op, d *Decision) {
 // latency.
 //
 //ring:hotpath
-func (c *counters) observe(d time.Duration) {
-	c[cBatches].Add(1)
+func (t *tally) observe(d time.Duration) {
+	t[cBatches]++
 	bucket := 0
 	for v := d.Nanoseconds(); v > 1 && bucket < latencyBuckets-1; v >>= 1 {
 		bucket++
 	}
-	c[cLatency+bucket].Add(1)
+	t[cLatency+bucket]++
+}
+
+// add moves a finished batch's tally into c and clears it.
+//
+//ring:hotpath
+func (c *counters) add(t *tally) {
+	for i, n := range t {
+		if n != 0 {
+			c[i].Add(n)
+			t[i] = 0
+		}
+	}
 }
 
 // LatencyBucket is one non-empty histogram bucket.
@@ -134,8 +155,10 @@ type Snapshot struct {
 	Reads ReaderSnapshot `json:"reads"`
 	// PerWorkerReads lists each decision slot's own counters.
 	PerWorkerReads []ReaderSnapshot `json:"per_worker_reads"`
-	// Events tallies trace events by kind across all slots, fed from
-	// the zero-alloc mmu.Sink each slot's unit records into.
+	// Events tallies validation events across all slots under the
+	// trace event kind name "validate": one per read or write check,
+	// an effring chain's indirect-word reads included. It is the only
+	// kind the service records.
 	Events map[string]uint64 `json:"events"`
 	// LatencyNs is the non-empty part of the batch latency histogram.
 	LatencyNs []LatencyBucket `json:"latency_ns"`
@@ -143,10 +166,10 @@ type Snapshot struct {
 
 // metricKey normalizes a human-readable name into the snake_case key
 // space the rest of /metrics uses: core.ViolationKind strings carry
-// spaces ("outside read bracket") and trace.Kind strings hyphens
+// spaces ("outside read bracket") and trace event kinds hyphens
 // ("ring-switch"), while every struct field marshals as snake_case.
-// The map keys in Faults and Events go through this so one /metrics
-// document never mixes naming styles. Decision.Violation on the
+// The map keys in Faults go through this so one /metrics document
+// never mixes naming styles. Decision.Violation on the
 // /v1/check wire keeps the human-readable form.
 func metricKey(s string) string {
 	return strings.Map(func(r rune) rune {
@@ -162,7 +185,6 @@ func metricKey(s string) string {
 // counters.
 func (s *Service) Snapshot() Snapshot {
 	var sum [numCounters]uint64
-	var events [trace.KindCount]uint64
 	snap := Snapshot{
 		Workers:  len(s.slots),
 		QueueLen: int(s.waiting.Load()),
@@ -174,13 +196,12 @@ func (s *Service) Snapshot() Snapshot {
 		Events:   map[string]uint64{},
 	}
 	for _, sl := range s.slots {
-		for i := range sum {
-			sum[i] += sl.counts[i].Load()
+		var c [numCounters]uint64
+		for i := range c {
+			c[i] = sl.counts[i].Load()
+			sum[i] += c[i]
 		}
-		for k := range events {
-			events[k] += sl.events.Of(trace.Kind(k))
-		}
-		st := ReaderSnapshot{Pins: sl.rd.pins.Load(), Lookups: sl.rd.lookups.Load()}
+		st := ReaderSnapshot{Pins: c[cPins], Lookups: c[cLookups]}
 		snap.Reads.Pins += st.Pins
 		snap.Reads.Lookups += st.Lookups
 		snap.PerWorkerReads = append(snap.PerWorkerReads, st)
@@ -202,10 +223,8 @@ func (s *Service) Snapshot() Snapshot {
 			snap.Faults[metricKey(core.ViolationKind(k).String())] = n
 		}
 	}
-	for k, n := range events {
-		if n > 0 {
-			snap.Events[metricKey(trace.Kind(k).String())] = n
-		}
+	if n := sum[cValidates]; n > 0 {
+		snap.Events["validate"] = n
 	}
 	for i := 0; i < latencyBuckets; i++ {
 		if n := sum[cLatency+i]; n > 0 {

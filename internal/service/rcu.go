@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/seg"
 )
 
@@ -91,11 +92,9 @@ const (
 
 // reader is one registered read-side of the store: a decision slot's
 // epoch-counted announcement slots plus its per-batch pinned
-// snapshots. It implements mmu.SDWSource, so a slot's MMU pointed at
-// its reader resolves every descriptor fetch from the pinned
-// snapshots. Only the goroutine holding the decision slot uses the
-// reader; mutators scan its announcement slots during reclamation and
-// /metrics reads its counters.
+// snapshots, from which the slot's evaluator reads every descriptor
+// (lookup). Only the goroutine holding the decision slot uses the
+// reader; mutators scan its announcement slots during reclamation.
 type reader struct {
 	st *Store
 	// slots[i] is this reader's announcement for shard i: 0 when
@@ -106,9 +105,6 @@ type reader struct {
 	// views[i] is the snapshot pinned for shard i in the current
 	// batch; nil when not yet pinned this batch.
 	views []*snapshot
-	// pins and lookups count snapshot pins and descriptor lookups.
-	// Only the slot holder writes them; /metrics reads them live.
-	pins, lookups atomic.Uint64
 }
 
 // pin returns the snapshot this reader uses for shard sh, announcing
@@ -128,22 +124,24 @@ func (r *reader) pin(sh int) *snapshot {
 	r.slots[sh].Store(shd.epoch.Load() + 1)
 	s := shd.snap.Load()
 	r.views[sh] = s
-	r.pins.Add(1)
 	return s
 }
 
 // unpin ends the batch: drop every pinned view and zero the
-// announcement slots so mutators can reclaim past snapshots.
+// announcement slots so mutators can reclaim past snapshots. It
+// returns the number of snapshots the batch pinned.
 //
 //ring:hotpath
-func (r *reader) unpin() {
+func (r *reader) unpin() (pins uint64) {
 	for i := range r.views {
 		if r.views[i] == nil {
 			continue
 		}
 		r.views[i] = nil
 		r.slots[i].Store(0)
+		pins++
 	}
+	return pins
 }
 
 // pinSum pins every shard in mask (a bit per shard index) and returns
@@ -162,25 +160,20 @@ func (r *reader) pinSum(mask uint64) uint64 {
 	return sum
 }
 
-// LookupSDW implements mmu.SDWSource over the pinned snapshots:
-// shard-route the segment number, pin that shard's snapshot if this
-// batch has not yet, and index the immutable SDW table. Segment
-// numbers beyond the table (or the architectural maximum) are absent,
-// matching seg.Table.Fetch.
+// lookup returns segno's descriptor and the epoch of the snapshot it
+// came from: shard-route the segment number, pin that shard's snapshot
+// if this batch has not yet, and index the immutable SDW table.
+// Segment numbers beyond the table (at or beyond MaxSegments) are
+// absent, matching seg.Table.Fetch.
 //
 //ring:hotpath
 //ring:pins
-func (r *reader) LookupSDW(segno uint32) (seg.SDW, error) {
-	r.lookups.Add(1)
-	if segno > seg.MaxSegno {
-		return seg.SDW{}, nil
-	}
+func (r *reader) lookup(segno uint32) (v core.SDWView, epoch uint64) {
 	s := r.pin(int(segno & r.st.shardMask))
-	idx := int(segno >> r.st.shardBits)
-	if idx >= len(s.sdws) {
-		return seg.SDW{}, nil
+	if idx := segno >> r.st.shardBits; idx < uint32(len(s.sdws)) {
+		v = s.sdws[idx].View()
 	}
-	return s.sdws[idx], nil
+	return v, s.epoch
 }
 
 // newReader registers a new read-side with the store. Readers are

@@ -24,12 +24,12 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 	}
 	rd := st.newReader()
 	defer st.releaseReader(rd)
-	u := readerMMU(rd)
+	var tl tally
 
 	probes, _ := shardProbes()
 	pre := make([]Decision, len(probes))
 	for i := range probes {
-		evalQuery(st, rd, u, &probes[i], &pre[i])
+		evalQuery(st, rd, &tl, &probes[i], &pre[i])
 		if pre[i].VersionLo != 0 || pre[i].VersionHi != 0 {
 			t.Fatalf("probe %d: pinned epoch interval [%d,%d], want [0,0]",
 				i, pre[i].VersionLo, pre[i].VersionHi)
@@ -44,6 +44,7 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		var tl tally
 		for {
 			select {
 			case <-stop:
@@ -52,7 +53,7 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 			}
 			for i := range probes {
 				var d Decision
-				evalQuery(st, rd, u, &probes[i], &d)
+				evalQuery(st, rd, &tl, &probes[i], &d)
 				if d.VersionLo != 0 || d.VersionHi != 0 || stripDecision(d) != stripDecision(pre[i]) {
 					t.Errorf("probe %d: pinned decision drifted mid-burst: %+v (interval [%d,%d])",
 						i, stripDecision(d), d.VersionLo, d.VersionHi)
@@ -111,7 +112,7 @@ func TestReaderPinsSnapshotAcrossMutationBurst(t *testing.T) {
 	// The reader now pins the latest snapshot and sees every edit: the
 	// "code" probe hits the revoked descriptor.
 	var d Decision
-	evalQuery(st, rd, u, &probes[4], &d)
+	evalQuery(st, rd, &tl, &probes[4], &d)
 	if want := st.ShardVersion(0); d.VersionLo != want || d.VersionHi != want {
 		t.Errorf("fresh pin interval [%d,%d], want [%d,%d]", d.VersionLo, d.VersionHi, want, want)
 	}
@@ -135,9 +136,7 @@ func TestReaderRegistration(t *testing.T) {
 
 	// Pin through a, retire a snapshot, and check a's announcement
 	// blocks reclamation while b's idle slots do not.
-	if _, err := a.LookupSDW(0); err != nil {
-		t.Fatal(err)
-	}
+	a.lookup(0)
 	if err := st.Revoke(0); err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mmu"
-	"repro/internal/trace"
 )
 
 // Op names a protection query kind.
@@ -135,20 +133,19 @@ var (
 	ErrBatchTooLarge = errors.New("service: batch exceeds limit")
 )
 
-// slot is one decision slot — a simulated processor: an uncached MMU
-// reading through rd, its registered snapshot reader, and the counters
-// its decisions feed. A caller holds a slot for one batch; taking and
-// releasing busy orders successive holders, so nothing else needs a
-// lock.
+// slot is one decision slot — a simulated processor: its registered
+// snapshot reader, from whose pinned snapshots it reads every
+// descriptor, and the counters its decisions feed. A caller holds a
+// slot for one batch; taking and releasing busy orders successive
+// holders, so nothing else needs a lock.
 type slot struct {
 	busy atomic.Bool
 	_    [56]byte // callers scanning for a free slot read busy; keep it off the holder's lines
 
 	index  int
-	u      *mmu.MMU
 	rd     *reader
-	counts counters
-	events trace.AtomicCounters // fed by u's trace sink
+	tally  tally    // the held batch's counts, in plain words
+	counts counters // the tallies of finished batches, for Snapshot
 }
 
 // closedBit marks Service.inflight once Close has begun; the bits
@@ -207,12 +204,7 @@ func New(st *Store, cfg Config) (*Service, error) {
 		drained: make(chan struct{}),
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		// No associative memory: every descriptor fetch resolves from
-		// the slot reader's pinned snapshots.
-		sl := &slot{index: i, rd: st.newReader()}
-		sl.u = mmu.New(nil, mmu.Options{Validate: true, Sink: &sl.events})
-		sl.u.SetSDWSource(sl.rd)
-		s.slots = append(s.slots, sl)
+		s.slots = append(s.slots, &slot{index: i, rd: st.newReader()})
 	}
 	return s, nil
 }
@@ -294,10 +286,15 @@ func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decisio
 		s.waiting.Add(-1)
 	}
 	for i := range queries {
-		s.decide(sl, &queries[i], &dst[i])
+		dst[i] = Decision{Worker: sl.index}
+		evalQuery(s.store, sl.rd, &sl.tally, &queries[i], &dst[i])
+		sl.tally.count(queries[i].Op, &dst[i])
 	}
-	sl.rd.unpin() // end of batch: quiesce so mutators can reclaim
-	sl.counts.observe(time.Since(s.born) - start)
+	// End of batch: quiesce so mutators can reclaim, then publish the
+	// batch's counts.
+	sl.tally[cPins] += sl.rd.unpin()
+	sl.tally.observe(time.Since(s.born) - start)
+	sl.counts.add(&sl.tally)
 
 	// Release after the unpin: the wake send must never run pinned.
 	sl.busy.Store(false)
@@ -350,27 +347,18 @@ func (s *Service) Close() {
 	})
 }
 
-// decide evaluates one query on slot sl into d, in place and without
-// allocating (for well-formed queries).
+// evalQuery answers q into d over store st — the whole decision
+// procedure: the Figures 4–9 predicates of internal/core applied to
+// descriptors read from rd's pinned RCU snapshots, so every descriptor
+// and epoch report comes from one snapshot per consulted shard. The
+// lookups and validations it performs are counted into t. Malformed
+// queries set d.Err and report no epoch interval; architectural
+// outcomes (violations, traps) are regular decisions stamped with the
+// consulted shard's snapshot epoch.
 //
 //ring:hotpath
 //ring:pins
-func (s *Service) decide(sl *slot, q *Query, d *Decision) {
-	*d = Decision{Worker: sl.index}
-	evalQuery(s.store, sl.rd, sl.u, q, d)
-	sl.counts.count(q.Op, d)
-}
-
-// evalQuery answers q into d using unit u over store st — the whole
-// decision procedure. u must read its descriptors through rd, so every
-// descriptor fetch and epoch report resolves from rd's pinned RCU
-// snapshots. Malformed queries set d.Err and report no epoch interval;
-// architectural outcomes (violations, traps) are regular decisions
-// stamped with the consulted shard's snapshot epoch.
-//
-//ring:hotpath
-//ring:pins
-func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
+func evalQuery(st *Store, rd *reader, t *tally, q *Query, d *Decision) {
 	d.Shard = -1
 	segno := q.Segno
 	if q.Segment != "" {
@@ -397,18 +385,19 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid access kind %d", q.Kind)
 			return
 		}
-		sh := st.ShardOf(segno)
-		d.Shard = sh
-		d.VersionLo = rd.pin(sh).epoch
-		d.VersionHi = d.VersionLo
-		kind, err := u.Access(segno, q.Wordno, q.Ring, q.Kind)
-		if err != nil {
-			d.Err = err.Error()
-			return
+		v := fetch(st, rd, t, segno, d)
+		switch q.Kind {
+		case core.AccessRead:
+			t[cValidates]++
+			d.setViolationKind(core.ReadCheck(v, q.Wordno, q.Ring))
+		case core.AccessWrite:
+			t[cValidates]++
+			d.setViolationKind(core.WriteCheck(v, q.Wordno, q.Ring))
+		default:
+			d.setViolationKind(core.FetchCheck(v, q.Wordno, q.Ring))
 		}
-		d.setViolationKind(kind)
 
-	case OpCall:
+	case OpCall, OpReturn:
 		effRing := q.Ring
 		if q.EffRing != nil {
 			effRing = *q.EffRing
@@ -418,51 +407,14 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 			d.Err = fmt.Sprintf("invalid effective ring %d", effRing)
 			return
 		}
-		sh := st.ShardOf(segno)
-		d.Shard = sh
-		d.VersionLo = rd.pin(sh).epoch
-		d.VersionHi = d.VersionLo
-		dec, kind, err := u.Call(segno, q.Wordno, q.Ring, effRing, q.SameSegment)
-		if err != nil {
-			d.Err = err.Error()
-			return
+		v := fetch(st, rd, t, segno, d)
+		if q.Op == OpCall {
+			dec, kind := core.CallCheck(v, q.Wordno, q.Ring, effRing, q.SameSegment)
+			d.setOutcome(kind, dec.Outcome.String(), dec.NewRing, dec.Outcome == core.CallUpwardTrap)
+		} else {
+			dec, kind := core.ReturnCheck(v, q.Wordno, q.Ring, effRing)
+			d.setOutcome(kind, dec.Outcome.String(), dec.NewRing, dec.Outcome == core.ReturnDownwardTrap)
 		}
-		if kind != core.ViolationNone {
-			d.setViolationKind(kind)
-			return
-		}
-		d.Allowed = true
-		d.Outcome = dec.Outcome.String()
-		d.NewRing = dec.NewRing
-		d.Trapped = dec.Outcome == core.CallUpwardTrap
-
-	case OpReturn:
-		effRing := q.Ring
-		if q.EffRing != nil {
-			effRing = *q.EffRing
-		}
-		if !effRing.Valid() {
-			//ring:allow malformed query: Err formatting is the cold path
-			d.Err = fmt.Sprintf("invalid effective ring %d", effRing)
-			return
-		}
-		sh := st.ShardOf(segno)
-		d.Shard = sh
-		d.VersionLo = rd.pin(sh).epoch
-		d.VersionHi = d.VersionLo
-		dec, kind, err := u.Return(segno, q.Wordno, q.Ring, effRing)
-		if err != nil {
-			d.Err = err.Error()
-			return
-		}
-		if kind != core.ViolationNone {
-			d.setViolationKind(kind)
-			return
-		}
-		d.Allowed = true
-		d.Outcome = dec.Outcome.String()
-		d.NewRing = dec.NewRing
-		d.Trapped = dec.Outcome == core.ReturnDownwardTrap
 
 	case OpEffRing:
 		// Pre-scan the chain: validate the ring fields and find which
@@ -492,15 +444,12 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 				eff = core.EffectiveRingPR(eff, step.Ring)
 				continue
 			}
-			sdw, err := u.FetchSDW(step.Segno)
-			if err != nil {
-				d.Err = err.Error()
-				return
-			}
-			v := sdw.View()
+			v, _ := rd.lookup(step.Segno)
+			t[cLookups]++
 			// The indirect word itself is read during effective address
 			// formation, validated like any operand read (Figure 5).
-			if kind := u.AccessView(v, step.Segno, 0, eff, core.AccessRead); kind != core.ViolationNone {
+			t[cValidates]++
+			if kind := core.ReadCheck(v, 0, eff); kind != core.ViolationNone {
 				d.VersionHi = chainHi(st, mask, d.VersionLo)
 				d.setViolationKind(kind)
 				return
@@ -515,6 +464,20 @@ func evalQuery(st *Store, rd *reader, u *mmu.MMU, q *Query, d *Decision) {
 		//ring:allow malformed query: Err formatting is the cold path
 		d.Err = fmt.Sprintf("unknown op %q", q.Op)
 	}
+}
+
+// fetch reads segno's descriptor from rd's pinned snapshot of its
+// shard, stamps d with that shard and the snapshot's epoch, and counts
+// the lookup into t.
+//
+//ring:hotpath
+//ring:pins
+func fetch(st *Store, rd *reader, t *tally, segno uint32, d *Decision) core.SDWView {
+	v, epoch := rd.lookup(segno)
+	t[cLookups]++
+	d.Shard = st.ShardOf(segno)
+	d.VersionLo, d.VersionHi = epoch, epoch
+	return v
 }
 
 // chainLo opens the epoch interval for an effring chain: the sum of
@@ -541,6 +504,19 @@ func chainHi(st *Store, mask uint64, lo uint64) uint64 {
 		return lo
 	}
 	return st.Version()
+}
+
+// setOutcome fills a CALL or RETURN decision: the violation when kind
+// is not ViolationNone, otherwise the outcome, the new ring and whether
+// the hardware traps.
+//
+//ring:hotpath
+func (d *Decision) setOutcome(kind core.ViolationKind, outcome string, newRing Ring, trapped bool) {
+	if kind != core.ViolationNone {
+		d.setViolationKind(kind)
+		return
+	}
+	d.Allowed, d.Outcome, d.NewRing, d.Trapped = true, outcome, newRing, trapped
 }
 
 // setViolationKind fills the violation fields (allowed when kind is

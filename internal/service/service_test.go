@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mmu"
 	"repro/internal/seg"
 )
 
@@ -575,15 +574,6 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// readerMMU builds an uncached unit resolving every descriptor fetch
-// from rd's pinned snapshots, as a decision slot's unit does, for tests
-// that drive evalQuery over a reader they control.
-func readerMMU(rd *reader) *mmu.MMU {
-	u := mmu.New(nil, mmu.Options{Validate: true})
-	u.SetSDWSource(rd)
-	return u
 }
 
 // oracleService builds a single-slot service over a fresh store of

@@ -1,25 +1,28 @@
-// Package service exposes the MMU decision procedure as a concurrent
-// protection-decision server: the reference monitor the paper's
-// hardware implements, offered as a policy-decision point for many
-// clients at once.
+// Package service exposes the paper's access-validation procedure as a
+// concurrent protection-decision server: the reference monitor the
+// paper's hardware implements, offered as a policy-decision point for
+// many clients at once.
 //
 // The paper's validation logic — bracket checks, gate lists, the
 // CALL/RETURN decision tables — is a mechanical procedure evaluated on
-// every reference. internal/mmu already packages that procedure as the
-// single access path of the simulated machine; this package puts a
-// server around it:
+// every reference. internal/core holds it as pure predicates over a
+// descriptor's fields; this package puts a server around them:
 //
 //   - a Store holds one protection image: the segment names and, per
 //     shard, an immutable RCU snapshot of the segment descriptor words
 //     (see rcu.go). The snapshots are the only copy of the descriptors:
 //     decisions read them and supervisor edits replace them;
-//   - a Service holds decision slots, each an MMU pointed at an
-//     epoch-counted snapshot reader — the paper's several processors
-//     sharing one descriptor segment. There is no queue and no worker
-//     goroutine: as the paper's processor validates inline in the
-//     reference path, a caller takes a free slot and decides its batch
-//     on its own goroutine. At most Workers+QueueDepth batches are
-//     admitted.
+//   - a Service holds decision slots, each with an epoch-counted
+//     snapshot reader — the paper's several processors sharing one
+//     descriptor segment. A slot's evaluator (evalQuery) reads each
+//     descriptor from its pinned snapshots and applies the core
+//     predicates to it directly, as the paper's comparisons run on SDW
+//     fields the reference has already fetched. A slot counts its
+//     decisions in plain words and adds them to its /metrics counters
+//     once per batch. There is no queue and no worker goroutine: as the
+//     paper's processor validates inline in the reference path, a
+//     caller takes a free slot and decides its batch on its own
+//     goroutine. At most Workers+QueueDepth batches are admitted.
 //
 // The package speaks no network protocol: internal/tenant serves the
 // HTTP/JSON surface and internal/wire the binary one, both over

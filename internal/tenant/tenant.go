@@ -120,7 +120,7 @@ var (
 // the registry's defaults.
 type TenantConfig struct {
 	// Workers is the tenant's decision slot quota — the number of
-	// batches (one snapshot-reading MMU each) it decides at once.
+	// batches (one snapshot reader each) it decides at once.
 	Workers int
 	// QueueDepth is how many more callers may wait for a slot; beyond
 	// that, overload sheds with service.ErrQueueFull.
