@@ -421,7 +421,9 @@ func evalQuery(st *Store, rd *reader, t *tally, q *Query, d *Decision) {
 		// shards the indirect steps will consult, so the epoch interval
 		// can name a single shard when only one is involved. A chain
 		// spanning shards is stamped with the sum of the consulted
-		// shards' pinned snapshot epochs, with Shard = -1.
+		// shards' pinned snapshot epochs, with Shard = -1; a chain with
+		// no indirect step consults no shard and reports the live
+		// store-wide Version, read before and after the fold.
 		var mask uint64 // consulted shard set (MaxShards ≤ 64)
 		for i := range q.Chain {
 			step := &q.Chain[i]
@@ -437,7 +439,12 @@ func evalQuery(st *Store, rd *reader, t *tally, q *Query, d *Decision) {
 		if mask != 0 && mask&(mask-1) == 0 {
 			d.Shard = bits.TrailingZeros64(mask)
 		}
-		d.VersionLo = chainLo(st, rd, mask)
+		if mask != 0 {
+			d.VersionLo = rd.pinSum(mask)
+		} else {
+			d.VersionLo = st.Version()
+		}
+		d.VersionHi = d.VersionLo
 		eff := q.Ring
 		for _, step := range q.Chain {
 			if step.PR {
@@ -450,13 +457,14 @@ func evalQuery(st *Store, rd *reader, t *tally, q *Query, d *Decision) {
 			// formation, validated like any operand read (Figure 5).
 			t[cValidates]++
 			if kind := core.ReadCheck(v, 0, eff); kind != core.ViolationNone {
-				d.VersionHi = chainHi(st, mask, d.VersionLo)
 				d.setViolationKind(kind)
 				return
 			}
 			eff = core.EffectiveRingIndirect(eff, step.Ring, v.R1)
 		}
-		d.VersionHi = chainHi(st, mask, d.VersionLo)
+		if mask == 0 {
+			d.VersionHi = st.Version()
+		}
 		d.Allowed = true
 		d.NewRing = eff
 
@@ -478,32 +486,6 @@ func fetch(st *Store, rd *reader, t *tally, segno uint32, d *Decision) core.SDWV
 	d.Shard = st.ShardOf(segno)
 	d.VersionLo, d.VersionHi = epoch, epoch
 	return v
-}
-
-// chainLo opens the epoch interval for an effring chain: the sum of
-// the pinned snapshot epochs of the consulted shards (for a single
-// shard, its snapshot epoch), or the live store-wide Version for a
-// chain with no indirect steps.
-//
-//ring:hotpath
-//ring:pins
-func chainLo(st *Store, rd *reader, mask uint64) uint64 {
-	if mask != 0 {
-		return rd.pinSum(mask)
-	}
-	return st.Version()
-}
-
-// chainHi closes an effring chain's interval: degenerate for pinned
-// snapshot reads, a live re-read of Version for a chain with no
-// indirect steps.
-//
-//ring:hotpath
-func chainHi(st *Store, mask uint64, lo uint64) uint64 {
-	if mask != 0 {
-		return lo
-	}
-	return st.Version()
 }
 
 // setOutcome fills a CALL or RETURN decision: the violation when kind
