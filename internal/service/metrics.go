@@ -18,11 +18,11 @@ const latencyBuckets = 32
 
 // Counter indices into counters: decision outcomes, then queries per
 // op, then snapshot reads and validations, then denials per violation
-// kind, then the latency histogram.
+// kind — the counters a batch tallies — then the latency histogram.
+// Batches and queries are not counted: Snapshot sums them from the
+// histogram and the per-op counts.
 const (
-	cBatches = iota
-	cQueries
-	cAllowed
+	cAllowed = iota
 	cDenied
 	cErrors
 	cTrapped
@@ -35,28 +35,28 @@ const (
 	cLookups                               // descriptor reads
 	cValidates                             // read and write checks: the events map's "validate"
 	cFaults                                // violationKinds counters
-	cLatency    = cFaults + violationKinds // latencyBuckets counters
+	numTallied  = cFaults + violationKinds // the counters a tally holds
+	cLatency    = numTallied               // latencyBuckets counters
 	numCounters = cLatency + latencyBuckets
 )
 
 // counters is one decision slot's always-on instrumentation: decision
 // counts, snapshot reads, validations, faults by kind, and a
 // power-of-two batch-latency histogram. Only the caller holding the
-// slot writes them, once per batch (add), so they never bounce between
-// cores; Snapshot sums every slot's counters, a monitoring-grade (not
-// transactionally consistent) view.
+// slot writes them, once per batch (add and observe), so they never
+// bounce between cores; Snapshot sums every slot's counters, a
+// monitoring-grade (not transactionally consistent) view.
 type counters [numCounters]atomic.Uint64
 
 // tally is one batch's counters in plain words: the slot holder counts
 // each decision into it and adds it to the slot's counters when the
 // batch ends, so deciding performs no atomic read-modify-write.
-type tally [numCounters]uint64
+type tally [numTallied]uint64
 
 // count tallies one decision.
 //
 //ring:hotpath
 func (t *tally) count(op Op, d *Decision) {
-	t[cQueries]++
 	switch op {
 	case OpAccess:
 		t[cOpAccess]++
@@ -85,17 +85,16 @@ func (t *tally) count(op Op, d *Decision) {
 	}
 }
 
-// observe tallies one completed batch and its admission-to-completion
-// latency.
+// observe counts one completed batch in its admission-to-completion
+// latency bucket.
 //
 //ring:hotpath
-func (t *tally) observe(d time.Duration) {
-	t[cBatches]++
+func (c *counters) observe(d time.Duration) {
 	bucket := 0
 	for v := d.Nanoseconds(); v > 1 && bucket < latencyBuckets-1; v >>= 1 {
 		bucket++
 	}
-	t[cLatency+bucket]++
+	c[cLatency+bucket].Add(1)
 }
 
 // add moves a finished batch's tally into c and clears it.
@@ -206,7 +205,6 @@ func (s *Service) Snapshot() Snapshot {
 		snap.Reads.Lookups += st.Lookups
 		snap.PerWorkerReads = append(snap.PerWorkerReads, st)
 	}
-	snap.Batches, snap.Queries = sum[cBatches], sum[cQueries]
 	snap.Allowed, snap.Denied = sum[cAllowed], sum[cDenied]
 	snap.Errors, snap.Trapped = sum[cErrors], sum[cTrapped]
 	snap.Ops = map[string]uint64{
@@ -218,6 +216,9 @@ func (s *Service) Snapshot() Snapshot {
 	if n := sum[cOpOther]; n > 0 {
 		snap.Ops["other"] = n
 	}
+	for i := cOpAccess; i <= cOpOther; i++ {
+		snap.Queries += sum[i]
+	}
 	for k := 0; k < violationKinds; k++ {
 		if n := sum[cFaults+k]; n > 0 {
 			snap.Faults[metricKey(core.ViolationKind(k).String())] = n
@@ -228,6 +229,7 @@ func (s *Service) Snapshot() Snapshot {
 	}
 	for i := 0; i < latencyBuckets; i++ {
 		if n := sum[cLatency+i]; n > 0 {
+			snap.Batches += n
 			lo := int64(1) << i
 			if i == 0 {
 				lo = 0

@@ -293,8 +293,8 @@ func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decisio
 	// End of batch: quiesce so mutators can reclaim, then publish the
 	// batch's counts.
 	sl.tally[cPins] += sl.rd.unpin()
-	sl.tally.observe(time.Since(s.born) - start)
 	sl.counts.add(&sl.tally)
+	sl.counts.observe(time.Since(s.born) - start)
 
 	// Release after the unpin: the wake send must never run pinned.
 	sl.busy.Store(false)
