@@ -92,9 +92,9 @@ const (
 
 // reader is one registered read-side of the store: a decision slot's
 // epoch-counted announcement slots plus its per-batch pinned
-// snapshots, from which the slot's evaluator reads every descriptor
-// (lookup). Only the goroutine holding the decision slot uses the
-// reader; mutators scan its announcement slots during reclamation.
+// snapshots, from which the slot's evaluator reads every descriptor.
+// Only the goroutine holding the decision slot uses the reader;
+// mutators scan its announcement slots during reclamation.
 type reader struct {
 	st *Store
 	// slots[i] is this reader's announcement for shard i: 0 when
@@ -160,20 +160,17 @@ func (r *reader) pinSum(mask uint64) uint64 {
 	return sum
 }
 
-// lookup returns segno's descriptor and the epoch of the snapshot it
-// came from: shard-route the segment number, pin that shard's snapshot
-// if this batch has not yet, and index the immutable SDW table.
-// Segment numbers beyond the table (at or beyond MaxSegments) are
-// absent, matching seg.Table.Fetch.
+// view returns entry idx of the snapshot's table — the descriptor of
+// segment number shard + idx*Shards — or an absent descriptor beyond
+// the table (segment numbers at or beyond MaxSegments), matching
+// seg.Table.Fetch.
 //
 //ring:hotpath
-//ring:pins
-func (r *reader) lookup(segno uint32) (v core.SDWView, epoch uint64) {
-	s := r.pin(int(segno & r.st.shardMask))
-	if idx := segno >> r.st.shardBits; idx < uint32(len(s.sdws)) {
-		v = s.sdws[idx].View()
+func (s *snapshot) view(idx uint32) core.SDWView {
+	if idx < uint32(len(s.sdws)) {
+		return s.sdws[idx].View()
 	}
-	return v, s.epoch
+	return core.SDWView{}
 }
 
 // newReader registers a new read-side with the store. Readers are

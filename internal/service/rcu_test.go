@@ -136,7 +136,7 @@ func TestReaderRegistration(t *testing.T) {
 
 	// Pin through a, retire a snapshot, and check a's announcement
 	// blocks reclamation while b's idle slots do not.
-	a.lookup(0)
+	a.pin(0)
 	if err := st.Revoke(0); err != nil {
 		t.Fatal(err)
 	}

@@ -451,7 +451,7 @@ func evalQuery(st *Store, rd *reader, t *tally, q *Query, d *Decision) {
 				eff = core.EffectiveRingPR(eff, step.Ring)
 				continue
 			}
-			v, _ := rd.lookup(step.Segno)
+			v := rd.pin(st.ShardOf(step.Segno)).view(step.Segno >> st.shardBits)
 			t[cLookups]++
 			// The indirect word itself is read during effective address
 			// formation, validated like any operand read (Figure 5).
@@ -481,11 +481,11 @@ func evalQuery(st *Store, rd *reader, t *tally, q *Query, d *Decision) {
 //ring:hotpath
 //ring:pins
 func fetch(st *Store, rd *reader, t *tally, segno uint32, d *Decision) core.SDWView {
-	v, epoch := rd.lookup(segno)
+	sh := st.ShardOf(segno)
+	s := rd.pin(sh)
 	t[cLookups]++
-	d.Shard = st.ShardOf(segno)
-	d.VersionLo, d.VersionHi = epoch, epoch
-	return v
+	d.Shard, d.VersionLo, d.VersionHi = sh, s.epoch, s.epoch
+	return s.view(segno >> st.shardBits)
 }
 
 // setOutcome fills a CALL or RETURN decision: the violation when kind
