@@ -400,6 +400,16 @@ func TestSessionBackpressureShed(t *testing.T) {
 		}()
 	}
 
+	// Flood only once the blockers hold the slot and the queue: a third
+	// blocker has been shed. Otherwise, on a loaded host, the first wave
+	// can be served before the blockers are scheduled at all.
+	for deadline := time.Now().Add(10 * time.Second); tnt.Service().Snapshot().Rejected == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("blockers never filled the slot and the queue")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
 	var wbuf []byte
 	writeWave := func(lo, hi uint64) {
 		for corr := lo; corr <= hi; corr++ {
