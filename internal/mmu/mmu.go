@@ -474,9 +474,9 @@ func (u *MMU) traceValidate(what int, ring core.Ring, segno, wordno uint32, viol
 // Access, Call and Return are the query fast path: one SDW fetch
 // through the associative memory (or the SDWSource) plus the bracket
 // check, with the outcome returned as a bare core.ViolationKind instead
-// of an allocated *core.Violation. They honour the same cost model, tracing and T5
-// ablation rules as the Check*/Decide* forms; the error return is a
-// physical memory fault only, never an access outcome.
+// of an allocated *core.Violation. They honour the same cost model,
+// tracing and T5 ablation rules as the Check*/Decide* forms; the error
+// return is a physical memory fault only, never an access outcome.
 
 // AccessView validates one reference of the given kind against an
 // already-fetched view, allocation-free. Callers that do not hold the

@@ -164,12 +164,12 @@ type Snapshot struct {
 }
 
 // metricKey normalizes a human-readable name into the snake_case key
-// space the rest of /metrics uses: core.ViolationKind strings carry
-// spaces ("outside read bracket") and trace event kinds hyphens
-// ("ring-switch"), while every struct field marshals as snake_case.
-// The map keys in Faults go through this so one /metrics document
-// never mixes naming styles. Decision.Violation on the
-// /v1/check wire keeps the human-readable form.
+// space the rest of /metrics uses, turning spaces and hyphens into
+// underscores: core.ViolationKind strings carry spaces ("outside read
+// bracket"), while every struct field marshals as snake_case. The map
+// keys in Faults go through this so one /metrics document never mixes
+// naming styles. Decision.Violation on the /v1/check wire keeps the
+// human-readable form.
 func metricKey(s string) string {
 	return strings.Map(func(r rune) rune {
 		switch r {
