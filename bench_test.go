@@ -7,6 +7,7 @@ package repro_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/asm"
@@ -715,31 +716,11 @@ func TestTracelessStepZeroAlloc(t *testing.T) {
 // the traceless step above, 0 B/op is an acceptance criterion —
 // asserted by TestSubmitIntoZeroAlloc in internal/service.
 func BenchmarkServiceCheckInto(b *testing.B) {
-	chk, err := rings.NewCheckerWith(rings.CheckerConfig{Workers: 1}, []rings.Segment{
-		{Name: "data", Size: 64, Read: true, Write: true,
-			Brackets: core.Brackets{R1: 2, R2: 4, R3: 4}},
-		{Name: "code", Size: 64, Read: true, Execute: true,
-			Brackets: core.Brackets{R1: 1, R2: 3, R3: 5}, Gates: 2},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	chk := newBenchChecker(b, 1)
 	defer chk.Close()
 
 	for _, size := range []int{1, 16} {
-		queries := make([]rings.Query, size)
-		for i := range queries {
-			switch i & 3 {
-			case 0, 1:
-				queries[i] = rings.Query{Op: rings.OpAccess, Ring: 4, Segment: "data",
-					Wordno: uint32(i), Kind: rings.AccessRead}
-			case 2:
-				queries[i] = rings.Query{Op: rings.OpCall, Ring: 4, Segment: "code", Wordno: 1}
-			case 3:
-				queries[i] = rings.Query{Op: rings.OpAccess, Ring: 7, Segment: "data",
-					Kind: rings.AccessWrite} // denied
-			}
-		}
+		queries := benchCheckQueries(size)
 		dst := make([]rings.Decision, size)
 		b.Run(benchSizeName("batch", size), func(b *testing.B) {
 			for i := 0; i < 8; i++ { // warm up
@@ -756,6 +737,66 @@ func BenchmarkServiceCheckInto(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServiceCheckIntoParallel is BenchmarkServiceCheckInto with
+// GOMAXPROCS callers sharing GOMAXPROCS decision slots, so it also
+// measures how a slot, its reader and its counters move between cores
+// from one batch to the next. It allocates nothing either.
+func BenchmarkServiceCheckIntoParallel(b *testing.B) {
+	chk := newBenchChecker(b, runtime.GOMAXPROCS(0))
+	defer chk.Close()
+
+	for _, size := range []int{1, 16} {
+		queries := benchCheckQueries(size)
+		b.Run(benchSizeName("batch", size), func(b *testing.B) {
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				dst := make([]rings.Decision, size)
+				for pb.Next() {
+					if err := chk.CheckInto(queries, dst); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		})
+	}
+}
+
+// newBenchChecker is an in-process Checker with the given number of
+// decision slots over one data and one gated code segment.
+func newBenchChecker(b *testing.B, workers int) *rings.Checker {
+	b.Helper()
+	chk, err := rings.NewCheckerWith(rings.CheckerConfig{Workers: workers}, []rings.Segment{
+		{Name: "data", Size: 64, Read: true, Write: true,
+			Brackets: core.Brackets{R1: 2, R2: 4, R3: 4}},
+		{Name: "code", Size: 64, Read: true, Execute: true,
+			Brackets: core.Brackets{R1: 1, R2: 3, R3: 5}, Gates: 2},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return chk
+}
+
+// benchCheckQueries is a batch of n queries against newBenchChecker's
+// image: two allowed reads, a downward call and a denied write in turn.
+func benchCheckQueries(n int) []rings.Query {
+	queries := make([]rings.Query, n)
+	for i := range queries {
+		switch i & 3 {
+		case 0, 1:
+			queries[i] = rings.Query{Op: rings.OpAccess, Ring: 4, Segment: "data",
+				Wordno: uint32(i), Kind: rings.AccessRead}
+		case 2:
+			queries[i] = rings.Query{Op: rings.OpCall, Ring: 4, Segment: "code", Wordno: 1}
+		case 3:
+			queries[i] = rings.Query{Op: rings.OpAccess, Ring: 7, Segment: "data",
+				Kind: rings.AccessWrite} // denied
+		}
+	}
+	return queries
 }
 
 func benchSizeName(prefix string, n int) string {

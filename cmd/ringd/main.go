@@ -84,17 +84,23 @@ var (
 )
 
 // HTTP server timeouts: a client gets readHeaderTimeout to send its
-// request headers, and an idle keep-alive connection closes after
-// idleTimeout, so a client that sends half a header cannot hold its
-// connection and goroutine open forever.
+// request headers and readTimeout to send the whole request, a response
+// must be written within writeTimeout of the request headers, and an
+// idle keep-alive connection closes after idleTimeout, so a client that
+// sends half a request, or stops reading its answer, cannot hold its
+// connection and goroutine open forever. Bodies are capped and a batch
+// is decided in microseconds, so an honest client needs far less.
 const (
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	writeTimeout      = 30 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
 // newHTTPServer builds the daemon's HTTP server around h.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout,
+		WriteTimeout: writeTimeout, IdleTimeout: idleTimeout}
 }
 
 // loadImage reads a JSON image file, or returns the demo image for an

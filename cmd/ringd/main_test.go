@@ -86,12 +86,19 @@ func TestLoadImageErrors(t *testing.T) {
 }
 
 // TestHTTPServerTimeouts checks that the daemon's HTTP server bounds
-// how long a client may take to send its headers and how long an idle
+// how long a client may take to send its headers and its whole
+// request, how long a response may take to write, and how long an idle
 // connection is kept.
 func TestHTTPServerTimeouts(t *testing.T) {
 	hs := newHTTPServer(http.NotFoundHandler())
 	if hs.ReadHeaderTimeout <= 0 {
 		t.Errorf("ReadHeaderTimeout = %v, want > 0", hs.ReadHeaderTimeout)
+	}
+	if hs.ReadTimeout < hs.ReadHeaderTimeout {
+		t.Errorf("ReadTimeout = %v, want at least ReadHeaderTimeout %v", hs.ReadTimeout, hs.ReadHeaderTimeout)
+	}
+	if hs.WriteTimeout <= 0 {
+		t.Errorf("WriteTimeout = %v, want > 0", hs.WriteTimeout)
 	}
 	if hs.IdleTimeout <= 0 {
 		t.Errorf("IdleTimeout = %v, want > 0", hs.IdleTimeout)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math/bits"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -43,9 +44,10 @@ const (
 // counters is one decision slot's always-on instrumentation: decision
 // counts, snapshot reads, validations, faults by kind, and a
 // power-of-two batch-latency histogram. Only the caller holding the
-// slot writes them, once per batch (add and observe), so they never
-// bounce between cores; Snapshot sums every slot's counters, a
-// monitoring-grade (not transactionally consistent) view.
+// slot writes them, once per batch (add and observe), and a released
+// slot goes first to the next caller on the same P, so they move
+// between cores only when a slot changes P; Snapshot sums every slot's
+// counters, a monitoring-grade (not transactionally consistent) view.
 type counters [numCounters]atomic.Uint64
 
 // tally is one batch's counters in plain words: the slot holder counts
@@ -90,11 +92,18 @@ func (t *tally) count(op Op, d *Decision) {
 //
 //ring:hotpath
 func (c *counters) observe(d time.Duration) {
-	bucket := 0
-	for v := d.Nanoseconds(); v > 1 && bucket < latencyBuckets-1; v >>= 1 {
-		bucket++
+	c[cLatency+latencyBucket(d.Nanoseconds())].Add(1)
+}
+
+// latencyBucket is the histogram bucket of a v-nanosecond latency:
+// floor(log2 v), capped at the last bucket; 0 for v below 2.
+//
+//ring:hotpath
+func latencyBucket(v int64) int {
+	if v < 1 {
+		return 0
 	}
-	c[cLatency+bucket].Add(1)
+	return min(latencyBuckets-1, bits.Len64(uint64(v))-1)
 }
 
 // add moves a finished batch's tally into c and clears it.

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"regexp"
 	"testing"
 
@@ -83,6 +84,29 @@ func TestMetricKey(t *testing.T) {
 	for in, want := range cases {
 		if got := metricKey(in); got != want {
 			t.Errorf("metricKey(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestLatencyBucket checks the histogram's bucket choice against the
+// shift loop it replaced, at every power-of-two boundary and one either
+// side of it, and at zero and below.
+func TestLatencyBucket(t *testing.T) {
+	shiftLoop := func(v int64) int {
+		bucket := 0
+		for ; v > 1 && bucket < latencyBuckets-1; v >>= 1 {
+			bucket++
+		}
+		return bucket
+	}
+	vs := []int64{math.MinInt64, -1, 0, math.MaxInt64}
+	for i := 0; i < 63; i++ {
+		p := int64(1) << i
+		vs = append(vs, p-1, p, p+1)
+	}
+	for _, v := range vs {
+		if got, want := latencyBucket(v), shiftLoop(v); got != want {
+			t.Errorf("latencyBucket(%d) = %d, want %d", v, got, want)
 		}
 	}
 }

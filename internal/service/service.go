@@ -137,7 +137,10 @@ var (
 // snapshot reader, from whose pinned snapshots it reads every
 // descriptor, and the counters its decisions feed. A caller holds a
 // slot for one batch; taking and releasing busy orders successive
-// holders, so nothing else needs a lock.
+// holders, so nothing else needs a lock. A released slot is offered
+// first to the next caller on the same P (Service.free), so its reader
+// views, tally and counters stay in that core's cache, as the paper's
+// associative memory stays beside its processor.
 type slot struct {
 	busy atomic.Bool
 	_    [56]byte // callers scanning for a free slot read busy; keep it off the holder's lines
@@ -159,6 +162,12 @@ type Service struct {
 	store *Store
 	cfg   Config
 	slots []*slot
+	// free holds released slots as per-P hints: a caller tries the slot
+	// last released on its P before scanning slots from the first. busy
+	// stays the only ownership truth, so a hint that is stale, held
+	// twice or dropped by the collector costs a failed compare-and-swap
+	// or a scan, never a second holder.
+	free sync.Pool
 	// wake carries release notices to callers waiting for a slot. One
 	// buffered notice per slot lets a burst of releases wake as many
 	// waiters as it frees slots; a release that finds the buffer full
@@ -298,6 +307,7 @@ func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decisio
 
 	// Release after the unpin: the wake send must never run pinned.
 	sl.busy.Store(false)
+	s.free.Put(sl)
 	if s.waiting.Load() != 0 {
 		select {
 		case s.wake <- struct{}{}:
@@ -308,10 +318,15 @@ func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decisio
 	return nil
 }
 
-// tryAcquire takes a free slot, or returns nil when all are busy.
+// tryAcquire takes a free slot, or returns nil when all are busy: the
+// slot last released on the caller's P if it is still free, else the
+// first free slot.
 //
 //ring:hotpath
 func (s *Service) tryAcquire() *slot {
+	if sl, _ := s.free.Get().(*slot); sl != nil && !sl.busy.Load() && sl.busy.CompareAndSwap(false, true) {
+		return sl
+	}
 	for _, sl := range s.slots {
 		if !sl.busy.Load() && sl.busy.CompareAndSwap(false, true) {
 			return sl

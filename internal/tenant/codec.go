@@ -43,6 +43,25 @@ func AppendCheckRequest(b []byte, queries []service.Query) []byte {
 	return appendRaw(b, "]}")
 }
 
+// CheckRequestCap is a capacity AppendCheckRequest(nil, queries) never
+// outgrows when no string in queries needs an escape and every access
+// kind is valid: the envelope, and for each query its longest fixed
+// fields, its op and segment name, and its chain steps at their
+// longest.
+func CheckRequestCap(queries []service.Query) int {
+	const (
+		envelope  = len(`{"queries":[]}`)
+		query     = len(`,{"op":"","ring":255,"segment":"","segno":4294967295,"wordno":4294967295,"kind":"execute","eff_ring":255,"same_segment":true,"chain":[]}`)
+		chainStep = len(`,{"pr":true,"ring":255,"segno":4294967295}`)
+	)
+	n := envelope
+	for i := range queries {
+		q := &queries[i]
+		n += query + len(q.Op) + len(q.Segment) + chainStep*len(q.Chain)
+	}
+	return n
+}
+
 //ring:hotpath
 func appendQuery(b []byte, q *service.Query) []byte {
 	b = appendRaw(b, `{"op":`)

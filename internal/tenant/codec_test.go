@@ -69,6 +69,17 @@ func randQuery(r *rand.Rand) service.Query {
 	return q
 }
 
+// validKinds reports whether every access query in queries has a
+// valid kind.
+func validKinds(queries []service.Query) bool {
+	for _, q := range queries {
+		if q.Op == service.OpAccess && (q.Kind < core.AccessRead || q.Kind > core.AccessExecute) {
+			return false
+		}
+	}
+	return true
+}
+
 func randDecision(r *rand.Rand) service.Decision {
 	d := service.Decision{Allowed: r.Intn(2) == 0, Trapped: r.Intn(3) == 0, NewRing: core.Ring(r.Intn(256)),
 		ViolationKind: core.ViolationKind(r.Intn(core.ViolationKindCount+2) - 1),
@@ -179,6 +190,9 @@ func TestCheckCodecDifferential(t *testing.T) {
 		checkRequestParse(t, want)
 		if _, ok := new(requestParser).parse(want, math.MaxInt); ok {
 			accepted[0]++
+			if validKinds(queries) && len(want) > CheckRequestCap(queries) {
+				t.Fatalf("CheckRequestCap(%+v) = %d, the encoding is %d bytes", queries, CheckRequestCap(queries), len(want))
+			}
 		}
 
 		var decisions []service.Decision
@@ -352,4 +366,57 @@ func TestCheckCodecZeroAlloc(t *testing.T) {
 	if !reflect.DeepEqual(dst, decisions) {
 		t.Errorf("decisions round trip to %+v, want %+v", dst, decisions)
 	}
+}
+
+// BenchmarkCheckCodec times each half of the /v1/check codec on one
+// 16-query batch, the http-json workload's batch size: the client's
+// request encoding, the server's request parse, the server's response
+// encoding and the client's response parse.
+func BenchmarkCheckCodec(b *testing.B) {
+	queries := make([]service.Query, 16)
+	decisions := make([]service.Decision, len(queries))
+	for i := range queries {
+		queries[i] = service.Query{Op: service.OpAccess, Ring: 4, Segno: uint32(i % 8), Wordno: uint32(37 * i), Kind: core.AccessKind(i % 3)}
+		decisions[i] = service.Decision{Allowed: true, VersionLo: 6, VersionHi: 6, Shard: i % 8, Worker: 1}
+		if i%4 == 3 {
+			kind := core.ViolationWriteBracket
+			decisions[i] = service.Decision{Violation: kind.String(), ViolationKind: kind, VersionLo: 6, VersionHi: 6, Shard: i % 8}
+		}
+	}
+	req := AppendCheckRequest(nil, queries)
+	resp := AppendCheckResponse(nil, decisions)
+	dst := make([]service.Decision, len(decisions))
+	var p requestParser
+	b.Run("append-request", func(b *testing.B) {
+		b.SetBytes(int64(len(req)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			req = AppendCheckRequest(req[:0], queries)
+		}
+	})
+	b.Run("parse-request", func(b *testing.B) {
+		b.SetBytes(int64(len(req)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := p.parse(req, len(queries)); !ok {
+				b.Fatalf("request parser refused %s", req)
+			}
+		}
+	})
+	b.Run("append-response", func(b *testing.B) {
+		b.SetBytes(int64(len(resp)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			resp = AppendCheckResponse(resp[:0], decisions)
+		}
+	})
+	b.Run("parse-response", func(b *testing.B) {
+		b.SetBytes(int64(len(resp)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if n, ok := ParseCheckResponse(resp, dst); !ok || n != len(decisions) {
+				b.Fatalf("response parser: %d, %v", n, ok)
+			}
+		}
+	})
 }

@@ -67,15 +67,12 @@ func (e Event) String() string {
 	return fmt.Sprintf("[%-11s] r%d (%o|%o) %s", e.Kind, e.Ring, e.Segno, e.Wordno, e.Detail)
 }
 
-// KindCount is the number of event kinds (for per-kind counters).
-const KindCount = int(KindService) + 1
-
 // Recorder receives events. Implementations must be cheap when disabled;
 // the CPU holds a nil Recorder in benchmarks.
 //
 // The reference path consumes events through the richer mmu.Sink
 // interface (Enabled + Record); every Recorder in this package also
-// implements it, so a Buffer or Counters plugs directly into the
+// implements it, so a Buffer or Func plugs directly into the
 // processor.
 type Recorder interface {
 	Record(Event)
@@ -135,56 +132,3 @@ func (f Func) Enabled() bool { return true }
 
 // Record calls f(e).
 func (f Func) Record(e Event) { f(e) }
-
-// Counters tallies events per kind without retaining them — the cheap
-// always-on instrumentation point between full tracing and none. It
-// implements both Recorder and the processor's sink interface.
-type Counters struct {
-	Counts [KindCount]uint64
-	// Other counts events whose kind is outside the known range.
-	Other uint64
-}
-
-// Enabled reports that the counters accept events.
-func (c *Counters) Enabled() bool { return true }
-
-// Record tallies the event.
-func (c *Counters) Record(e Event) {
-	if k := int(e.Kind); k >= 0 && k < KindCount {
-		c.Counts[k]++
-		return
-	}
-	c.Other++
-}
-
-// Total returns the number of events recorded.
-func (c *Counters) Total() uint64 {
-	t := c.Other
-	for _, n := range c.Counts {
-		t += n
-	}
-	return t
-}
-
-// Of returns the count for kind k.
-func (c *Counters) Of(k Kind) uint64 {
-	if i := int(k); i >= 0 && i < KindCount {
-		return c.Counts[i]
-	}
-	return 0
-}
-
-// String renders the non-zero counters, one per line.
-func (c *Counters) String() string {
-	var sb strings.Builder
-	for k := 0; k < KindCount; k++ {
-		if c.Counts[k] == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "%-11s %d\n", Kind(k), c.Counts[k])
-	}
-	if c.Other > 0 {
-		fmt.Fprintf(&sb, "%-11s %d\n", "other", c.Other)
-	}
-	return sb.String()
-}

@@ -193,18 +193,15 @@ func (rc *RemoteChecker) CheckInto(queries []Query, dst []Decision) error {
 
 // httpCheckInto posts one batch, encoded by the tenant codec, and
 // parses the decisions straight into dst, falling back to
-// encoding/json for a response outside the codec's subset.
+// encoding/json for a response outside the codec's subset. The body is
+// a *bytes.Reader, which net/http knows is in memory: it sends the
+// request headers and body in one write, and can replay the body when
+// it retries a request on a dead keep-alive connection.
 func (rc *RemoteChecker) httpCheckInto(queries []Query, dst []Decision) error {
-	body := newCheckBody(queries)
-	req, err := http.NewRequest(http.MethodPost, rc.target+"/check", body)
+	body := tenant.AppendCheckRequest(make([]byte, 0, tenant.CheckRequestCap(queries)), queries)
+	req, err := http.NewRequest(http.MethodPost, rc.target+"/check", bytes.NewReader(body))
 	if err != nil {
-		body.Close()
 		return err
-	}
-	req.ContentLength = int64(body.Len())
-	req.GetBody = func() (io.ReadCloser, error) {
-		// A redirect or a retry on a dead keep-alive connection.
-		return io.NopCloser(bytes.NewReader(tenant.AppendCheckRequest(nil, queries))), nil
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rc.hc.Do(req)
@@ -241,18 +238,8 @@ func (rc *RemoteChecker) httpCheckInto(queries []Query, dst []Decision) error {
 	return nil
 }
 
-// checkBody is a request body over a pooled buffer. net/http may still
-// be reading it after Do returns, so the buffer goes back to the pool
-// when the transport closes the body, and only the first time.
-type checkBody struct {
-	bytes.Reader
-	buf atomic.Pointer[[]byte]
-}
-
-var (
-	requestBufs  = sync.Pool{New: func() any { return new([]byte) }}
-	responseBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-)
+// responseBufs recycles the buffers responses are read into.
+var responseBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // maxPooledBuf bounds the buffers kept for reuse: one large batch's
 // are left to the collector.
@@ -262,22 +249,6 @@ func putResponseBuf(buf *bytes.Buffer) {
 	if buf.Cap() <= maxPooledBuf {
 		responseBufs.Put(buf)
 	}
-}
-
-func newCheckBody(queries []Query) *checkBody {
-	buf := requestBufs.Get().(*[]byte)
-	*buf = tenant.AppendCheckRequest((*buf)[:0], queries)
-	cb := new(checkBody)
-	cb.Reset(*buf)
-	cb.buf.Store(buf)
-	return cb
-}
-
-func (cb *checkBody) Close() error {
-	if buf := cb.buf.Swap(nil); buf != nil && cap(*buf) <= maxPooledBuf {
-		requestBufs.Put(buf)
-	}
-	return nil
 }
 
 // Health reports the served image's shape.
