@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math/rand"
 	"net"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -324,5 +327,129 @@ func TestRunRejectsBadTransportFlags(t *testing.T) {
 		if code := run(args, &out, &errOut); code == 0 {
 			t.Errorf("run(%v): want non-zero exit", args)
 		}
+	}
+}
+
+// TestGenBatchesDigest pins the pre-generated batch pools for seed 1,
+// under the default mix and under T17's (no effring), so a change to
+// the generator cannot pass silently as a change to the workload.
+func TestGenBatchesDigest(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		m    mix
+		want string
+	}{
+		{"default", mix{access: 8, call: 1, ret: 1, effring: 1}, "6153b387fdc938a5c28be0394130361473807cb71f14dedcc7aa0881bd164efd"},
+		{"t17", mix{access: 8, call: 1, ret: 1}, "8d6f3bcb0ccf637425449373f939604abc9814b07e7da978379eefb577da201f"},
+	} {
+		pools := genBatches(config{clients: 3, batch: 16, seed: 1, mix: c.m}, 6)
+		b, err := json.Marshal(pools)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", c.name, err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s mix: pool digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// serveDemo serves the demo image from one registry over a loopback
+// HTTP server and a loopback wire listener, for the -target modes.
+func serveDemo(t *testing.T) (httpURL, wireAddr string) {
+	t.Helper()
+	reg := tenant.NewRegistry(tenant.Config{MaxTenants: 1, WorkerBudget: 2})
+	if _, err := reg.Load(tenant.DefaultTenant, tenant.DemoImage(), tenant.TenantConfig{Workers: 2}); err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	h := tenant.NewHandler(reg, tenant.HandlerOptions{})
+	srv := httptest.NewServer(h)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	ws := wire.NewServer(reg, wire.Config{})
+	go ws.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		ws.Shutdown(ctx)
+		srv.Close()
+		h.Close()
+	})
+	return srv.URL, ln.Addr().String()
+}
+
+// shape is what one emitted result promises its readers: its ID, the
+// names of its metrics and the number of report lines.
+type shape struct {
+	id    string
+	keys  string
+	lines int
+}
+
+// TestRunModeShapes runs every mode for about 50 ms per trial and pins
+// the shape of what it emits: result IDs in order, each result's metric
+// keys and its report-line count.
+func TestRunModeShapes(t *testing.T) {
+	httpURL, wireAddr := serveDemo(t)
+	const (
+		trial = "batch,batches,clients,decisions,decisions_per_sec,mutations,p50_ns,p95_ns,p99_ns,shards,shed_batches,workers"
+		t16   = "batch,clients,http_decisions_per_sec,http_p99_ns,p99_ratio,wire_decisions_per_sec,wire_p99_ns,wire_speedup,workers"
+		t17   = "batch,cached_decisions_per_sec,cached_p99_ns,cached_speedup,clients,hit_rate,lease_hits,lease_misses,lease_shootdowns,mutation_rate,mutations,uncached_decisions_per_sec,uncached_p99_ns,workers"
+	)
+	base := []string{"-c", "2", "-batch", "8", "-duration", "50ms", "-workers", "2"}
+	for _, c := range []struct {
+		name string
+		args []string
+		want []shape
+	}{
+		{"in-process", nil, []shape{{"RINGLOAD", trial, 5}}},
+		{"sweep grid", []string{"-sweep", "2,1", "-sweep-workers", "2,1"}, []shape{
+			{"RINGLOAD-S1-W1", trial, 5}, {"RINGLOAD-S2-W1", trial, 5},
+			{"RINGLOAD-S1-W2", trial, 5}, {"RINGLOAD-S2-W2", trial, 5}}},
+		{"target http", []string{"-target", httpURL}, []shape{{"RINGLOAD", trial, 4}}},
+		{"target wire", []string{"-target", wireAddr, "-transport", "wire"}, []shape{{"RINGLOAD", trial, 4}}},
+		{"tenants", []string{"-tenants", "3", "-queue", "2"}, []shape{
+			{"RINGLOAD-T15-BASELINE", "batch,cold_decisions_per_sec,cold_p50_ns,cold_p99_ns,tenants,workers_per_tenant", 2},
+			{"RINGLOAD-T15", "batch,clients,cold_decisions_per_sec,cold_p99_baseline_ns,cold_p99_ns,cold_p99_ratio,hot_decisions_per_sec,hot_p99_ns,shed_batches,tenants,workers_per_tenant", 3}}},
+		{"compare-transports", []string{"-compare-transports"}, []shape{
+			{"RINGLOAD-T16-HTTP", trial, 4}, {"RINGLOAD-T16-WIRE", trial, 4}, {"RINGLOAD-T16", t16, 4}}},
+		{"client-cache", []string{"-client-cache"}, []shape{
+			{"RINGLOAD-T17-M0", t17, 4}, {"RINGLOAD-T17-M100", t17, 4}, {"RINGLOAD-T17-M1000", t17, 4},
+			{"RINGLOAD-T17", "batch,cached_speedup,clients,hit_rate,workers", 2}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out, errOut bytes.Buffer
+			args := append(append(append([]string(nil), base...), c.args...), "-json")
+			if code := run(args, &out, &errOut); code != 0 {
+				t.Fatalf("run(%v) = %d, stderr: %s", args, code, errOut.String())
+			}
+			var results []struct {
+				ID      string             `json:"id"`
+				Metrics map[string]float64 `json:"metrics"`
+				Lines   []string           `json:"lines"`
+			}
+			if err := json.Unmarshal(out.Bytes(), &results); err != nil {
+				t.Fatalf("output is not a JSON array: %v\n%s", err, out.String())
+			}
+			got := make([]shape, len(results))
+			for i, r := range results {
+				keys := make([]string, 0, len(r.Metrics))
+				for k := range r.Metrics {
+					keys = append(keys, k)
+				}
+				sort.Strings(keys)
+				got[i] = shape{r.ID, strings.Join(keys, ","), len(r.Lines)}
+			}
+			if len(got) != len(c.want) {
+				t.Fatalf("got %d results %+v, want %d", len(got), got, len(c.want))
+			}
+			for i := range got {
+				if got[i] != c.want[i] {
+					t.Errorf("result %d: got %+v\nwant %+v", i, got[i], c.want[i])
+				}
+			}
+		})
 	}
 }
