@@ -63,6 +63,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 	"time"
 
@@ -99,8 +100,49 @@ const (
 
 // newHTTPServer builds the daemon's HTTP server around h.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout,
-		WriteTimeout: writeTimeout, IdleTimeout: idleTimeout}
+	var fresh freshConns
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout,
+		WriteTimeout: writeTimeout, IdleTimeout: idleTimeout, ConnState: fresh.track}
+	hs.RegisterOnShutdown(fresh.drain)
+	return hs
+}
+
+// freshConns tracks the HTTP connections that have not yet carried a
+// request. Shutdown counts such a connection as active for its first
+// 5 s, so one idle dial would hold the drain that long; it carries no
+// request, so the drain closes it instead.
+type freshConns struct {
+	mu       sync.Mutex
+	conns    map[net.Conn]struct{} //ring:guarded mu
+	draining bool                  //ring:guarded mu
+}
+
+func (f *freshConns) track(c net.Conn, state http.ConnState) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	switch {
+	case state == http.StateNew && f.draining:
+		c.Close()
+	case state == http.StateNew:
+		if f.conns == nil {
+			f.conns = make(map[net.Conn]struct{})
+		}
+		f.conns[c] = struct{}{}
+	default:
+		delete(f.conns, c)
+	}
+}
+
+// drain closes every connection still waiting for its first request,
+// and any accepted from here on.
+func (f *freshConns) drain() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.draining = true
+	for c := range f.conns {
+		c.Close()
+	}
+	f.conns = nil
 }
 
 // loadImage reads a JSON image file, or returns the demo image for an

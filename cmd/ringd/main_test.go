@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -464,17 +465,52 @@ func TestRunMutationRacingDrain(t *testing.T) {
 	}
 }
 
-// postStatus posts a body and returns only the status code.
+// postStatus posts a body and returns only the status code, or 0 when
+// the request fails. It reports failures with t.Errorf, so a goroutine
+// other than the test's may call it.
 func postStatus(t *testing.T, url, body string) int {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+		t.Errorf("POST %s: %v", url, err)
+		return 0
 	}
 	defer resp.Body.Close()
 	var sink bytes.Buffer
 	sink.ReadFrom(resp.Body)
 	return resp.StatusCode
+}
+
+// TestRunDrainClosesSilentConnection holds open a TCP connection that
+// never sends a request: the drain must close it instead of waiting
+// out the 5 s net/http grants a new connection.
+func TestRunDrainClosesSilentConnection(t *testing.T) {
+	base, shutdown, done := bootDaemon(t)
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	// A request on another connection proves the server is accepting,
+	// so the silent connection is past Accept before the drain starts.
+	if resp, err := http.Get(base + "/healthz"); err != nil {
+		t.Fatalf("GET /healthz: %v", err)
+	} else {
+		resp.Body.Close()
+	}
+	start := time.Now()
+	close(shutdown)
+	select {
+	case code := <-done:
+		if code != 0 {
+			t.Errorf("exit %d, want 0", code)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("drain took %v with a silent connection open, want under 1s", d)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("drain still waiting on a connection that never sent a request")
+	}
 }
 
 // TestRunWireListener boots the daemon with both listeners and drives
