@@ -10,12 +10,13 @@
 //
 // With -json, reports are emitted as a JSON array of objects with the
 // experiment id, title, host wall-clock nanoseconds, the experiment's
-// machine-readable metrics (simulated cycles, SDW cache hit rate, ...)
-// and the report lines — for dashboards and regression tracking.
+// machine-readable metrics (simulated cycles, SDW cache hit rate, ...),
+// the report lines and the host they were measured on (CPU count,
+// GOMAXPROCS, Go version, and the commit when the binary carries one)
+// — for dashboards and regression tracking.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -27,28 +28,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// jsonResult is the machine-readable form of one experiment report.
-type jsonResult struct {
-	ID      string             `json:"id"`
-	Title   string             `json:"title"`
-	HostNs  int64              `json:"host_ns"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-	Lines   []string           `json:"lines"`
-}
-
-func emitJSON(w io.Writer, results []*exp.Result) error {
-	out := make([]jsonResult, 0, len(results))
-	for _, r := range results {
-		out = append(out, jsonResult{
-			ID: r.ID, Title: r.Title, HostNs: r.HostNs,
-			Metrics: r.Metrics, Lines: r.Lines,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // run is the testable body of the command.
@@ -87,7 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *asJSON {
-		if err := emitJSON(stdout, results); err != nil {
+		if err := exp.WriteJSON(stdout, results); err != nil {
 			fmt.Fprintln(stderr, "ringbench:", err)
 			return 1
 		}

@@ -7,24 +7,58 @@
 package exp
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
 )
 
-// Result is one experiment's report.
+// Result is one experiment's report, and one entry of a BENCH artifact:
+// ringbench and ringload both emit arrays of it. The field order is the
+// JSON key order.
 type Result struct {
-	ID    string
-	Title string
-	Lines []string
+	ID    string `json:"id"`
+	Title string `json:"title"`
 	// HostNs is the wall-clock time the experiment took on the host, in
 	// nanoseconds, stamped by Run.
-	HostNs int64
+	HostNs int64 `json:"host_ns"`
 	// Metrics holds the experiment's machine-readable measurements —
 	// simulated cycles, cache hit rates and the like — for ringbench
 	// -json. Nil when the experiment reports prose only.
-	Metrics map[string]float64
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+	Lines   []string           `json:"lines"`
+
+	// The host the result was measured on, stamped by WriteJSON, so a
+	// number can be compared only with numbers from a like host. Commit
+	// is the source revision when the binary was built from a checkout.
+	HostCPUs   int    `json:"host_cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit,omitempty"`
+}
+
+// WriteJSON stamps each result with the host it ran on and writes the
+// results to w as an indented JSON array.
+func WriteJSON(w io.Writer, results []*Result) error {
+	commit := ""
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "vcs.revision" {
+				commit = s.Value
+			}
+		}
+	}
+	for _, r := range results {
+		r.HostCPUs, r.GOMAXPROCS = runtime.NumCPU(), runtime.GOMAXPROCS(0)
+		r.GoVersion, r.Commit = runtime.Version(), commit
+	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(results)
 }
 
 func (r *Result) addf(format string, args ...interface{}) {
