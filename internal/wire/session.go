@@ -60,7 +60,15 @@ type Server struct {
 	sessions  map[*session]struct{}     //ring:guarded mu
 	closed    bool                      //ring:guarded mu
 	wg        sync.WaitGroup
+
+	writeTimeout time.Duration // per frame write; writeTimeout unless a test shortens it
 }
+
+// writeTimeout bounds each frame write. A client that stops reading
+// would otherwise hold the session's write lock, and with it the
+// responders and the shootdown pusher, for as long as it keeps the
+// socket open.
+const writeTimeout = 10 * time.Second
 
 // NewServer builds a wire server over reg.
 func NewServer(reg *tenant.Registry, cfg Config) *Server {
@@ -69,6 +77,8 @@ func NewServer(reg *tenant.Registry, cfg Config) *Server {
 		cfg:       cfg.withDefaults(),
 		listeners: make(map[net.Listener]struct{}),
 		sessions:  make(map[*session]struct{}),
+
+		writeTimeout: writeTimeout,
 	}
 }
 
@@ -184,8 +194,9 @@ type session struct {
 
 	rbuf []byte // reader scratch, reused frame to frame
 
-	wmu  sync.Mutex
-	wbuf []byte //ring:guarded wmu (inline-response scratch)
+	wmu          sync.Mutex
+	wbuf         []byte //ring:guarded wmu (inline-response scratch)
+	writeTimeout time.Duration
 
 	jobs chan *job
 	free chan *job
@@ -208,6 +219,8 @@ func (s *Server) newSession(conn net.Conn) *session {
 		cfg:  s.cfg,
 		jobs: make(chan *job, s.cfg.InFlight),
 		free: make(chan *job, s.cfg.InFlight),
+
+		writeTimeout: s.writeTimeout,
 	}
 }
 
@@ -245,7 +258,7 @@ func (s *session) serve() {
 	if s.draining.Load() {
 		s.wmu.Lock()
 		s.wbuf = EncodeGoAway(s.wbuf)
-		_, _ = s.conn.Write(s.wbuf)
+		_ = s.sendLocked(s.wbuf)
 		s.wmu.Unlock()
 		s.linger()
 	}
@@ -327,7 +340,7 @@ func (s *session) handshake() bool {
 	b, werr := EncodeWelcome(s.wbuf, Welcome{Version: v, Health: s.health()})
 	if werr == nil {
 		s.wbuf = b
-		_, werr = s.conn.Write(b)
+		werr = s.sendLocked(b)
 	}
 	s.wmu.Unlock()
 	if werr != nil {
@@ -439,7 +452,7 @@ func (s *session) serveJob(j *job) {
 	}
 	j.out = out
 	s.wmu.Lock()
-	_, _ = s.conn.Write(out)
+	_ = s.sendLocked(out)
 	s.wmu.Unlock()
 }
 
@@ -503,7 +516,7 @@ func (s *session) handleMutate(corr uint64, payload []byte) bool {
 	}
 	s.wmu.Lock()
 	s.wbuf = EncodeMutated(s.wbuf, corr, version)
-	_, _ = s.conn.Write(s.wbuf)
+	_ = s.sendLocked(s.wbuf)
 	s.wmu.Unlock()
 	return true
 }
@@ -561,7 +574,7 @@ func (s *session) writeShootdown(sd Shootdown) {
 	b, err := EncodeShootdown(s.wbuf, sd)
 	if err == nil {
 		s.wbuf = b
-		_, _ = s.conn.Write(b)
+		_ = s.sendLocked(b)
 	}
 	s.wmu.Unlock()
 }
@@ -572,7 +585,7 @@ func (s *session) writeLeaseExpire(code uint16) {
 	b, err := EncodeLeaseExpire(s.wbuf, LeaseExpire{Code: code})
 	if err == nil {
 		s.wbuf = b
-		_, _ = s.conn.Write(b)
+		_ = s.sendLocked(b)
 	}
 	s.wmu.Unlock()
 }
@@ -581,13 +594,12 @@ func (s *session) writeLeaseExpire(code uint16) {
 func (s *session) handlePing(corr uint64) {
 	s.wmu.Lock()
 	s.wbuf = EncodePong(s.wbuf, corr, s.health())
-	_, _ = s.conn.Write(s.wbuf)
+	_ = s.sendLocked(s.wbuf)
 	s.wmu.Unlock()
 }
 
 // writeError writes an Error frame under the write lock, reusing the
-// session's scratch buffer. Write failures are ignored; the reader
-// notices the dead connection.
+// session's scratch buffer.
 //
 //ring:hotpath
 func (s *session) writeError(corr uint64, code uint16, msg string) {
@@ -595,9 +607,25 @@ func (s *session) writeError(corr uint64, code uint16, msg string) {
 	b, err := EncodeError(s.wbuf, corr, code, msg)
 	if err == nil {
 		s.wbuf = b
-		_, _ = s.conn.Write(b)
+		_ = s.sendLocked(b)
 	}
 	s.wmu.Unlock()
+}
+
+// sendLocked writes one encoded frame; the caller holds wmu. Every
+// session write goes through it. The write must finish within the
+// session's write timeout; one that fails or times out closes the
+// connection, which also ends the read loop, so callers may ignore the
+// error.
+//
+//ring:hotpath
+func (s *session) sendLocked(b []byte) error {
+	_ = s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+	_, err := s.conn.Write(b)
+	if err != nil {
+		_ = s.conn.Close()
+	}
+	return err
 }
 
 // readFrame reads one frame from r into *buf, which is grown as

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -461,6 +463,63 @@ func TestSessionBackpressureShed(t *testing.T) {
 		t.Error("no batch served after the blockers released")
 	}
 	t.Logf("served %d, shed %d", res.served, res.shed)
+}
+
+// TestSessionNonReadingClientEnds pipelines checks down a raw
+// connection that never reads its answers. Once the socket buffers
+// fill, a response write misses the session's write deadline: the
+// session must close the connection and end, and every goroutine it
+// started must exit.
+func TestSessionNonReadingClientEnds(t *testing.T) {
+	reg := newTestRegistry(t, tenant.TenantConfig{Workers: 1, BatchLimit: 4096})
+	srv := NewServer(reg, Config{})
+	srv.writeTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		_ = srv.Shutdown(ctx)
+	})
+	baseline := runtime.NumGoroutine()
+
+	conn := dialRaw(t, ln.Addr().String())
+	_ = conn.(*net.TCPConn).SetReadBuffer(4096)
+	queries := make([]service.Query, 4096)
+	for i := range queries {
+		queries[i] = service.Query{Op: service.OpAccess, Ring: 3, Segno: uint32(i % 3), Wordno: 1}
+	}
+	frame, err := EncodeCheck(nil, 1, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Write until the server closes the connection: its reset fails
+	// the write. The deadline only stops a hung test.
+	_ = conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+	for {
+		if _, err := conn.Write(frame); err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatal("server kept the session open with its answers unread")
+			}
+			break
+		}
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		live := len(srv.sessions)
+		srv.mu.Unlock()
+		n := runtime.NumGoroutine()
+		if live == 0 && n <= baseline {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions live, %d goroutines (baseline %d)", live, n, baseline)
+		}
+	}
 }
 
 // TestGracefulDrainKeepsAcceptedBatches shuts the server down while
