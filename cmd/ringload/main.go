@@ -1,70 +1,31 @@
 // Command ringload is a closed-loop load generator for the
-// protection-decision service: it replays a synthetic mix of
-// access/call/return/effring queries — in-process through
-// rings.Checker, or over HTTP against a running ringd — at a
-// configurable concurrency and duration, and reports throughput plus
+// protection-decision service. It replays a synthetic mix of
+// access/call/return/effring queries and reports throughput and
 // p50/p95/p99 batch latency.
 //
 // Usage:
 //
-//	ringload [-c 4] [-duration 2s] [-batch 64]
-//	         [-mix access=8,call=1,return=1,effring=1]
-//	         [-workers 4] [-shards 0] [-queue 0]
-//	         [-mutators 1] [-seed 1] [-sweep 1,2,4,8]
-//	         [-sweep-workers 1,2,4] [-tenants 1]
-//	         [-target http://host:8642] [-transport http]
-//	         [-compare-transports] [-client-cache] [-json]
+//	ringload [-c 4] [-duration 2s] [-batch 64] [-workers 4] [-queue 0]
+//	         [-seed 1] [-json] [experiment]
 //
-// Each of the -c clients owns one pre-generated query batch pool and
-// one reusable decision buffer, and loops: submit, record the batch
-// latency, repeat — a closed loop, so offered load adapts to service
-// capacity. In-process mode drives Checker.CheckInto (the
-// zero-allocation path); -target mode replays the same batches against
-// a running ringd — POSTing JSON to /v1/check by default, or (with
-// -transport wire) pipelining binary frames down one persistent
-// streaming session shared by every client, the correlation-ID path
-// ringd serves on -listen-wire. -mutators adds supervisor goroutines streaming
-// SetBrackets edits through the store's snapshot-publish path while
-// decisions run (in-process only). -sweep repeats the whole run across
-// several descriptor-store shard counts and -sweep-workers across
-// several worker-pool sizes; given both, the cross product is swept
-// (the T14 scaling grid).
+// where experiment is at most one of
 //
-// -tenants N (N >= 2, in-process) runs the T15 isolation experiment
-// instead: N independent tenants are loaded into one tenant.Registry,
-// the -c hot clients spread their load over tenants 0..N-2 with a
-// Zipf-skewed pick per batch, and one extra cold client drives tenant
-// N-1 alone. A baseline trial (cold client only) runs first; the
-// headline metric is the cold tenant's p99 under contention relative
-// to that baseline — per-tenant decision slots and admission bounds should
-// hold it near 1.0 while the hot tenants saturate their quotas and
-// shed.
+//	-sweep 1,2,4,8 [-sweep-workers 1,2,4]   T14 shard x worker grid
+//	-target http://host:8642 [-transport http|wire]
+//	-tenants N                               T15 tenant isolation
+//	-compare-transports                      T16 HTTP vs wire
+//	-client-cache                            T17 decision leases
 //
-// -compare-transports (in-process) runs the T16 transport experiment:
-// one registry serves the demo image simultaneously over a loopback
-// HTTP listener and a loopback wire listener; the same client count
-// and batch pools drive first the JSON transport, then the binary
-// streaming transport, and the headline metrics are the throughput
-// speedup and p99 ratio of wire over HTTP at equal worker count.
-//
-// -client-cache (in-process) runs the T17 decision-lease experiment:
-// one registry behind a loopback wire listener is driven twice per
-// cell of a server-side mutation-rate grid — once through a plain
-// wire session, once through a session fronted by the client-side
-// decision-lease cache (rings.DialRemote with CacheSize), which stays
-// coherent via the Subscribe/Shootdown stream. A paced supervisor
-// goroutine edits user_data's brackets at each grid rate, so every
-// cell measures cached speedup and hit rate under that invalidation
-// pressure.
-//
-// With -json, results are emitted as a JSON array in the same shape as
-// ringbench -json (id, title, host_ns, metrics, lines), so the two
-// artifacts can feed the same dashboards.
+// One experiment runs per invocation; with none, one in-process trial
+// runs. Every mode runs the same closed-loop trial: each of the -c
+// clients cycles its own 16 pre-generated batches (access:call:return:
+// effring weighted 8:1:1:1), submitting to a rings.Checker, to one
+// rings.RemoteChecker shared by every client, or to a tenant. With
+// -json, results are a JSON array of ringbench's result record.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -81,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 	"repro/rings"
@@ -88,25 +50,16 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// config is the parsed flag set.
+// config is what every trial shares, parsed from the flags.
 type config struct {
-	clients      int
-	duration     time.Duration
-	batch        int
-	mix          mix
-	workers      int
-	shards       int
-	queue        int
-	mutators     int
-	seed         int64
-	sweep        []int
-	sweepWorkers []int
-	tenants      int
-	target       string
-	transport    string
-	compare      bool
-	clientCache  bool
-	jsonOut      bool
+	clients  int
+	duration time.Duration
+	batch    int
+	mix      mix
+	workers  int
+	queue    int
+	seed     int64
+	tenants  int
 }
 
 // mix is the query mix as integer weights.
@@ -114,37 +67,11 @@ type mix struct {
 	access, call, ret, effring int
 }
 
-func (m mix) total() int { return m.access + m.call + m.ret + m.effring }
+// defaultMix is mostly data references, with calls, returns and
+// effective-ring chains making up the rest.
+var defaultMix = mix{access: 8, call: 1, ret: 1, effring: 1}
 
-func parseMix(s string) (mix, error) {
-	m := mix{}
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return m, fmt.Errorf("mix term %q is not name=weight", part)
-		}
-		w, err := strconv.Atoi(val)
-		if err != nil || w < 0 {
-			return m, fmt.Errorf("mix weight %q is not a non-negative integer", val)
-		}
-		switch name {
-		case "access":
-			m.access = w
-		case "call":
-			m.call = w
-		case "return":
-			m.ret = w
-		case "effring":
-			m.effring = w
-		default:
-			return m, fmt.Errorf("unknown mix op %q", name)
-		}
-	}
-	if m.total() == 0 {
-		return m, errors.New("mix has zero total weight")
-	}
-	return m, nil
-}
+func (m mix) total() int { return m.access + m.call + m.ret + m.effring }
 
 func parseSweep(s string) ([]int, error) {
 	if s == "" {
@@ -159,26 +86,6 @@ func parseSweep(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// loadImage is the image the in-process modes serve: the same
-// Multics-flavoured layout ringd's built-in demo image uses, so
-// in-process and -target runs exercise comparable descriptor shapes.
-func loadImage() []rings.Segment {
-	return []rings.Segment{
-		{Name: "supervisor", Size: 4096, Read: true, Execute: true,
-			Brackets: rings.Brackets{R1: 0, R2: 0, R3: 7}, Gates: 8},
-		{Name: "sys_data", Size: 1024, Read: true, Write: true,
-			Brackets: rings.Brackets{R1: 0, R2: 2, R3: 2}},
-		{Name: "math_lib", Size: 2048, Read: true, Execute: true,
-			Brackets: rings.Brackets{R1: 0, R2: 7, R3: 7}},
-		{Name: "editor", Size: 2048, Read: true, Execute: true,
-			Brackets: rings.Brackets{R1: 4, R2: 4, R3: 5}, Gates: 2},
-		{Name: "user_code", Size: 1024, Read: true, Execute: true,
-			Brackets: rings.Brackets{R1: 4, R2: 6, R3: 6}},
-		{Name: "user_data", Size: 4096, Read: true, Write: true,
-			Brackets: rings.Brackets{R1: 4, R2: 6, R3: 6}},
-	}
 }
 
 // genQuery draws one query from the mix. Targets are numbered segments
@@ -211,11 +118,12 @@ func genQuery(rng *rand.Rand, m mix, segments uint32) rings.Query {
 	}
 }
 
+// poolSize is the number of batches each client cycles through.
+const poolSize = 16
+
 // genBatches pre-generates the per-client batch pools so the hot loop
-// only submits; client c cycles through its own pool deterministically
-// (seed + client index).
+// only submits; client c's pool is seeded with seed + c.
 func genBatches(cfg config, segments uint32) [][][]rings.Query {
-	const poolSize = 16
 	pools := make([][][]rings.Query, cfg.clients)
 	for c := range pools {
 		rng := rand.New(rand.NewSource(cfg.seed + int64(c)))
@@ -250,9 +158,9 @@ func (h *hist) add(ns int64) {
 		h.counts[v]++
 		return
 	}
-	exp := bits.Len64(v) - 1
-	sub := (v >> (exp - subBits)) & (1<<subBits - 1)
-	h.counts[uint64(exp-subBits+1)<<subBits|sub]++
+	msb := bits.Len64(v) - 1
+	sub := (v >> (msb - subBits)) & (1<<subBits - 1)
+	h.counts[uint64(msb-subBits+1)<<subBits|sub]++
 }
 
 func (h *hist) merge(o *hist) {
@@ -287,156 +195,439 @@ func (h *hist) quantile(q float64) int64 {
 	return 0
 }
 
-// ---- Drivers ----
+// ---- The trial ----
 
-// driver submits one pre-built batch and fills dst (in-process) or
-// parses the response (HTTP), returning service.ErrQueueFull-equivalent
-// shedding as (shed=true).
-type driver interface {
-	submit(client int, batch []rings.Query, dst []rings.Decision) (shed bool, err error)
-	close()
+// client is one closed-loop client: the batches it cycles through and
+// where it submits them. submit fills dst; a batch shed by admission
+// control returns an error matching rings.ErrQueueFull.
+type client struct {
+	pool   [][]rings.Query
+	submit func(batch []rings.Query, dst []rings.Decision) error
 }
 
-// checkerDriver drives the decision path in-process.
-type checkerDriver struct{ chk *rings.Checker }
-
-func (d *checkerDriver) submit(_ int, batch []rings.Query, dst []rings.Decision) (bool, error) {
-	err := d.chk.CheckInto(batch, dst)
-	if errors.Is(err, rings.ErrQueueFull) {
-		return true, nil
+// clientsOf gives each pool a client submitting through submit.
+func clientsOf(pools [][][]rings.Query, submit func([]rings.Query, []rings.Decision) error) []client {
+	cs := make([]client, len(pools))
+	for i, p := range pools {
+		cs[i] = client{pool: p, submit: submit}
 	}
-	return false, err
+	return cs
 }
 
-func (d *checkerDriver) close() { d.chk.Close() }
+// tally is one client's measurements over a trial.
+type tally struct {
+	decisions, batches, shed uint64
+	lat                      hist
+}
 
-// remoteDriver replays the batches against a running ringd through
-// ONE rings.RemoteChecker shared by every client goroutine. Over the
-// wire, concurrent submits pipeline down one persistent session and
-// complete out of order by correlation ID — the transport shape
-// -listen-wire exists for (per-client sessions would measure
-// connection fan-out, not streaming); over HTTP they share one
-// keep-alive connection pool.
-type remoteDriver struct{ rc *rings.RemoteChecker }
+// result is one trial's measurements.
+type result struct {
+	elapsed   time.Duration
+	clients   []tally
+	mutations uint64
+}
 
-// dialRemoteDriver connects over transport ("http" or "wire") and asks
-// the target how many segments the served image holds, so generated
-// segnos stay mostly in range.
-func dialRemoteDriver(target, transport string) (*remoteDriver, uint32, error) {
-	rc, err := rings.DialRemote(target, rings.RemoteConfig{Transport: transport})
+// stat is what a group of a trial's clients measured together.
+type stat struct {
+	decisions, batches, shed uint64
+	perSec                   float64
+	p50, p95, p99            time.Duration
+}
+
+// stat merges clients [lo, hi) of the trial; hi 0 means every client.
+func (r *result) stat(lo, hi int) stat {
+	if hi == 0 {
+		hi = len(r.clients)
+	}
+	var s stat
+	var lat hist
+	for i := lo; i < hi; i++ {
+		t := &r.clients[i]
+		s.decisions, s.batches, s.shed = s.decisions+t.decisions, s.batches+t.batches, s.shed+t.shed
+		lat.merge(&t.lat)
+	}
+	s.perSec = ratio(float64(s.decisions), r.elapsed.Seconds())
+	s.p50, s.p95, s.p99 = time.Duration(lat.quantile(0.50)), time.Duration(lat.quantile(0.95)), time.Duration(lat.quantile(0.99))
+	return s
+}
+
+// ratio is a/b, or 0 when b is not positive.
+func ratio(a, b float64) float64 {
+	if b <= 0 {
+		return 0
+	}
+	return a / b
+}
+
+// trial runs every client's closed loop for cfg.duration while the
+// calling goroutine runs mut, when it is not nil. A shed batch is
+// counted and the loop goes on; any other error ends the trial.
+func trial(cfg config, clients []client, mut *mutator) (*result, error) {
+	res := &result{clients: make([]tally, len(clients))}
+	var stop atomic.Bool
+	errc := make(chan error, len(clients))
+	var wg sync.WaitGroup
+
+	start := time.Now()
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl, t := &clients[c], &res.clients[c]
+			dst := make([]rings.Decision, cfg.batch)
+			for i := 0; !stop.Load(); i++ {
+				batch := cl.pool[i%len(cl.pool)]
+				t0 := time.Now()
+				err := cl.submit(batch, dst)
+				switch {
+				case err == nil:
+					t.lat.add(time.Since(t0).Nanoseconds())
+					t.decisions += uint64(len(batch))
+					t.batches++
+				case errors.Is(err, rings.ErrQueueFull):
+					t.shed++
+				default:
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	var err error
+	if mut != nil {
+		res.mutations, err = mut.run(start.Add(cfg.duration))
+	} else {
+		time.Sleep(cfg.duration)
+	}
+	stop.Store(true)
+	wg.Wait()
+	res.elapsed = time.Since(start)
+	if len(errc) > 0 {
+		err = <-errc
+	}
+	return res, err
+}
+
+// mutator is a supervisor flipping user_data's brackets between a
+// narrow and a wide setting through the store's snapshot-publish path:
+// back to back when every is 0, else once per tick.
+type mutator struct {
+	set   func(rings.Brackets) error
+	every time.Duration
+}
+
+// run edits until the deadline and returns the number of edits.
+func (m *mutator) run(deadline time.Time) (uint64, error) {
+	var tick <-chan time.Time
+	if m.every > 0 {
+		t := time.NewTicker(m.every)
+		defer t.Stop()
+		tick = t.C
+	}
+	wide := rings.Brackets{R1: 4, R2: 6, R3: 6}
+	narrow := rings.Brackets{R1: 4, R2: 5, R3: 5}
+	for n := uint64(0); ; n++ {
+		if tick != nil {
+			<-tick
+		}
+		if !time.Now().Before(deadline) {
+			return n, nil
+		}
+		b := wide
+		if n%2 == 0 {
+			b = narrow
+		}
+		if err := m.set(b); err != nil {
+			return n, err
+		}
+	}
+}
+
+// ---- In-process and remote trials ----
+
+// remoteTrial runs one trial through one RemoteChecker shared by every
+// client, so wire batches pipeline down one session. Pools are
+// generated over the segment count the target reports.
+func remoteTrial(cfg config, target string, rcfg rings.RemoteConfig, mut *mutator) (*result, rings.CacheStats, error) {
+	rc, err := rings.DialRemote(target, rcfg)
 	if err != nil {
-		return nil, 0, err
+		return nil, rings.CacheStats{}, err
 	}
+	defer rc.Close()
 	h, err := rc.Health()
+	if err == nil && h.Segments <= 0 {
+		err = fmt.Errorf("target unhealthy: %+v", h)
+	}
 	if err != nil {
-		rc.Close()
-		return nil, 0, err
+		return nil, rings.CacheStats{}, err
 	}
-	if h.Segments <= 0 {
-		rc.Close()
-		return nil, 0, fmt.Errorf("target unhealthy: %+v", h)
-	}
-	return &remoteDriver{rc: rc}, uint32(h.Segments), nil
+	res, err := trial(cfg, clientsOf(genBatches(cfg, uint32(h.Segments)), rc.CheckInto), mut)
+	return res, rc.CacheStats(), err
 }
 
-func (d *remoteDriver) submit(_ int, batch []rings.Query, dst []rings.Decision) (bool, error) {
-	err := d.rc.CheckInto(batch, dst)
-	if errors.Is(err, rings.ErrQueueFull) {
-		return true, nil
+// report renders a trial of mode "in-process" or a remote transport;
+// only in-process trials have shards and supervisor edits to report.
+func report(cfg config, id, mode string, shards int, res *result) *exp.Result {
+	s := res.stat(0, 0)
+	lines := []string{
+		fmt.Sprintf("mode %s, %d clients x batch %d, %v", mode, cfg.clients, cfg.batch, cfg.duration),
+		fmt.Sprintf("mix access=%d call=%d return=%d effring=%d, seed %d",
+			cfg.mix.access, cfg.mix.call, cfg.mix.ret, cfg.mix.effring, cfg.seed),
+		fmt.Sprintf("decisions %d in %v (%.0f decisions/s), %d batches, %d shed",
+			s.decisions, res.elapsed.Round(time.Millisecond), s.perSec, s.batches, s.shed),
+		fmt.Sprintf("batch latency p50 %v p95 %v p99 %v", s.p50, s.p95, s.p99),
 	}
-	return false, err
+	if mode == "in-process" {
+		lines = append(lines, fmt.Sprintf("shards %d, workers %d, %d concurrent supervisor edits",
+			shards, cfg.workers, res.mutations))
+	}
+	return &exp.Result{
+		ID:     id,
+		Title:  "protection-decision load: synthetic access/call/return mix",
+		HostNs: res.elapsed.Nanoseconds(),
+		Metrics: map[string]float64{
+			"decisions_per_sec": s.perSec,
+			"decisions":         float64(s.decisions),
+			"batches":           float64(s.batches),
+			"shed_batches":      float64(s.shed),
+			"mutations":         float64(res.mutations),
+			"p50_ns":            float64(s.p50),
+			"p95_ns":            float64(s.p95),
+			"p99_ns":            float64(s.p99),
+			"clients":           float64(cfg.clients),
+			"batch":             float64(cfg.batch),
+			"workers":           float64(cfg.workers),
+			"shards":            float64(shards),
+		},
+		Lines: lines,
+	}
 }
 
-func (d *remoteDriver) close() { d.rc.Close() }
+// runGrid runs one in-process trial per (workers, shards) cell, both
+// ascending, workers outermost, each on a fresh Checker over the demo
+// image with one unpaced mutator. A cell's ID names the swept axes.
+func runGrid(cfg config, sweep, sweepWorkers []int) ([]*exp.Result, error) {
+	shardCounts, workerCounts := []int{0}, []int{cfg.workers}
+	if len(sweep) > 0 {
+		shardCounts = append([]int(nil), sweep...)
+	}
+	if len(sweepWorkers) > 0 {
+		workerCounts = append([]int(nil), sweepWorkers...)
+	}
+	sort.Ints(shardCounts)
+	sort.Ints(workerCounts)
+	segs := tenant.DemoImage()
+	var out []*exp.Result
+	for _, w := range workerCounts {
+		for _, n := range shardCounts {
+			cfg.workers = w
+			chk, err := rings.NewCheckerWith(rings.CheckerConfig{Workers: w, QueueDepth: cfg.queue, Shards: n}, segs)
+			if err != nil {
+				return nil, err
+			}
+			mut := &mutator{set: func(b rings.Brackets) error {
+				return chk.SetBrackets("user_data", true, true, false, b, 0)
+			}}
+			res, err := trial(cfg, clientsOf(genBatches(cfg, uint32(len(segs))), chk.CheckInto), mut)
+			shards := chk.Shards()
+			chk.Close()
+			if err != nil {
+				return nil, err
+			}
+			id := "RINGLOAD"
+			if len(sweep) > 0 {
+				id += fmt.Sprintf("-S%d", shards)
+			}
+			if len(sweepWorkers) > 0 {
+				id += fmt.Sprintf("-W%d", w)
+			}
+			out = append(out, report(cfg, id, "in-process", shards, res))
+		}
+	}
+	return out, nil
+}
 
-// ---- T16: transport comparison ----
+// ---- T15: multi-tenant isolation ----
 
-// runT16 serves one registry over both transports on loopback
-// listeners and measures the same closed-loop trial over each: the
-// JSON-vs-binary delta at equal worker count.
-func runT16(cfg config) ([]jsonResult, error) {
+// zipfS is the Zipf skew of the hot-tenant pick: s=1.2 concentrates
+// most batches on the first few tenants ("one noisy neighbour").
+const zipfS = 1.2
+
+// runT15 measures the last of cfg.tenants demo-image tenants alone
+// (baseline), then again with Zipf-skewed hot neighbours.
+func runT15(cfg config) ([]*exp.Result, error) {
 	reg := tenant.NewRegistry(tenant.Config{
-		MaxTenants:   1,
-		WorkerBudget: cfg.workers,
+		MaxTenants:   cfg.tenants,
+		WorkerBudget: cfg.tenants * cfg.workers,
 	})
-	segs := loadImage()
-	if _, err := reg.Load(tenant.DefaultTenant, segs, tenant.TenantConfig{
-		Workers: cfg.workers, QueueDepth: cfg.queue, Shards: cfg.shards,
-	}); err != nil {
+	defer reg.Close()
+	segs := tenant.DemoImage()
+	ts := make([]*tenant.Tenant, cfg.tenants)
+	for i := range ts {
+		var err error
+		if ts[i], err = reg.Load(fmt.Sprintf("t%d", i), segs, tenant.TenantConfig{
+			Workers: cfg.workers, QueueDepth: cfg.queue,
+		}); err != nil {
+			return nil, err
+		}
+	}
+
+	gen := cfg
+	gen.clients = cfg.clients + 1 // the extra pool feeds the cold client
+	pools := genBatches(gen, uint32(len(segs)))
+	ctx := context.Background()
+	perTenant := make([]atomic.Uint64, len(ts))
+	clients := make([]client, cfg.clients+1)
+	for c := range clients {
+		zipf := rand.NewZipf(rand.New(rand.NewSource(cfg.seed+1000+int64(c))), zipfS, 1, uint64(len(ts)-2))
+		clients[c] = client{pool: pools[c], submit: func(batch []rings.Query, dst []rings.Decision) error {
+			if c == cfg.clients { // the cold client keeps to the last tenant
+				return ts[len(ts)-1].SubmitInto(ctx, batch, dst)
+			}
+			idx := zipf.Uint64()
+			err := ts[idx].SubmitInto(ctx, batch, dst)
+			if err == nil {
+				perTenant[idx].Add(uint64(len(batch)))
+			}
+			return err
+		}}
+	}
+
+	base, err := trial(cfg, clients[cfg.clients:], nil)
+	if err != nil {
 		return nil, err
 	}
+	cont, err := trial(cfg, clients, nil)
+	if err != nil {
+		return nil, err
+	}
+	b, hot, c := base.stat(0, 0), cont.stat(0, cfg.clients), cont.stat(cfg.clients, 0)
+	shed := hot.shed + c.shed
+	p99Ratio := ratio(float64(c.p99), float64(b.p99))
+	hottest := 0
+	for i := range perTenant {
+		if perTenant[i].Load() > perTenant[hottest].Load() {
+			hottest = i
+		}
+	}
+	hotShare := 100 * ratio(float64(perTenant[hottest].Load()), float64(hot.decisions))
+
+	baseline := &exp.Result{
+		ID:     "RINGLOAD-T15-BASELINE",
+		Title:  "tenant isolation baseline: cold tenant alone",
+		HostNs: base.elapsed.Nanoseconds(),
+		Metrics: map[string]float64{
+			"cold_decisions_per_sec": b.perSec,
+			"cold_p50_ns":            float64(b.p50),
+			"cold_p99_ns":            float64(b.p99),
+			"tenants":                float64(cfg.tenants),
+			"workers_per_tenant":     float64(cfg.workers),
+			"batch":                  float64(cfg.batch),
+		},
+		Lines: []string{
+			fmt.Sprintf("%d tenants x %d workers, cold client only, batch %d, %v",
+				cfg.tenants, cfg.workers, cfg.batch, cfg.duration),
+			fmt.Sprintf("cold tenant t%d: %d decisions (%.0f/s), p50 %v p99 %v",
+				cfg.tenants-1, b.decisions, b.perSec, b.p50, b.p99),
+		},
+	}
+	contended := &exp.Result{
+		ID:     "RINGLOAD-T15",
+		Title:  "tenant isolation: Zipf-hot neighbours vs cold tenant p99",
+		HostNs: cont.elapsed.Nanoseconds(),
+		Metrics: map[string]float64{
+			"hot_decisions_per_sec":  hot.perSec,
+			"hot_p99_ns":             float64(hot.p99),
+			"shed_batches":           float64(shed),
+			"cold_decisions_per_sec": c.perSec,
+			"cold_p99_ns":            float64(c.p99),
+			"cold_p99_baseline_ns":   float64(b.p99),
+			"cold_p99_ratio":         p99Ratio,
+			"tenants":                float64(cfg.tenants),
+			"workers_per_tenant":     float64(cfg.workers),
+			"clients":                float64(cfg.clients),
+			"batch":                  float64(cfg.batch),
+		},
+		Lines: []string{
+			fmt.Sprintf("%d tenants x %d workers, %d hot clients (zipf s=%.1f over t0..t%d) + 1 cold client, batch %d, %v",
+				cfg.tenants, cfg.workers, cfg.clients, zipfS, cfg.tenants-2, cfg.batch, cfg.duration),
+			fmt.Sprintf("hot aggregate: %d decisions (%.0f/s), p99 %v, %d batches shed; hottest t%d took %.0f%%",
+				hot.decisions, hot.perSec, hot.p99, shed, hottest, hotShare),
+			fmt.Sprintf("cold tenant t%d: %d decisions (%.0f/s), p99 %v vs baseline %v (ratio %.2f)",
+				cfg.tenants-1, c.decisions, c.perSec, c.p99, b.p99, p99Ratio),
+		},
+	}
+	return []*exp.Result{baseline, contended}, nil
+}
+
+// ---- T16 and T17: transports and decision leases over loopback ----
+
+// loopback serves one demo-image tenant from a fresh registry over
+// loopback HTTP and wire listeners; stop drains both and the registry.
+func loopback(cfg config) (tnt *tenant.Tenant, httpURL, wireAddr string, stop func(), err error) {
+	reg := tenant.NewRegistry(tenant.Config{MaxTenants: 1, WorkerBudget: cfg.workers})
 	h := tenant.NewHandler(reg, tenant.HandlerOptions{})
-	hln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		h.Close()
-		return nil, err
-	}
-	hs := &http.Server{Handler: h}
-	go hs.Serve(hln)
-	wln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		hs.Close()
-		h.Close()
-		return nil, err
-	}
-	ws := wire.NewServer(reg, wire.Config{})
-	go ws.Serve(wln)
-	defer func() {
+	hs, ws := &http.Server{Handler: h}, wire.NewServer(reg, wire.Config{})
+	stop = func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		hs.Shutdown(ctx)
 		ws.Shutdown(ctx)
 		h.Close()
-	}()
+	}
+	var hln, wln net.Listener
+	tnt, err = reg.Load(tenant.DefaultTenant, tenant.DemoImage(), tenant.TenantConfig{
+		Workers: cfg.workers, QueueDepth: cfg.queue,
+	})
+	if err == nil {
+		hln, err = net.Listen("tcp", "127.0.0.1:0")
+	}
+	if err == nil {
+		go hs.Serve(hln) // from here, stop closes hln
+		wln, err = net.Listen("tcp", "127.0.0.1:0")
+	}
+	if err != nil {
+		stop()
+		return nil, "", "", nil, err
+	}
+	go ws.Serve(wln)
+	return tnt, "http://" + hln.Addr().String(), wln.Addr().String(), stop, nil
+}
 
-	cfg.mutators = 0 // both transports drive decisions only
-	pools := genBatches(cfg, uint32(len(segs)))
-
-	hd, _, err := dialRemoteDriver("http://"+hln.Addr().String(), "http")
+// runT16 runs the same trial over each transport of one loopback
+// registry: the JSON-vs-binary delta at equal worker count.
+func runT16(cfg config) ([]*exp.Result, error) {
+	_, httpURL, wireAddr, stop, err := loopback(cfg)
 	if err != nil {
 		return nil, err
 	}
-	httpRes, err := runTrial(cfg, hd, nil, pools)
-	hd.close()
-	if err != nil {
-		return nil, err
+	defer stop()
+	var reports [2]*exp.Result
+	for i, tr := range []struct{ target, transport, title string }{
+		{httpURL, "http", "transport comparison: HTTP/JSON request-response"},
+		{wireAddr, "wire", "transport comparison: binary streaming session"},
+	} {
+		res, _, err := remoteTrial(cfg, tr.target, rings.RemoteConfig{Transport: tr.transport}, nil)
+		if err != nil {
+			return nil, err
+		}
+		reports[i] = report(cfg, "RINGLOAD-T16-"+strings.ToUpper(tr.transport), tr.transport, 0, res)
+		reports[i].Title = tr.title
 	}
-	wd, _, err := dialRemoteDriver(wln.Addr().String(), "wire")
-	if err != nil {
-		return nil, err
-	}
-	wireRes, err := runTrial(cfg, wd, nil, pools)
-	wd.close()
-	if err != nil {
-		return nil, err
-	}
-
-	httpReport := report(cfg, httpRes, "http")
-	httpReport.ID = "RINGLOAD-T16-HTTP"
-	httpReport.Title = "transport comparison: HTTP/JSON request-response"
-	wireReport := report(cfg, wireRes, "wire")
-	wireReport.ID = "RINGLOAD-T16-WIRE"
-	wireReport.Title = "transport comparison: binary streaming session"
-
-	speedup := 0.0
-	if t := httpRes.throughput(); t > 0 {
-		speedup = wireRes.throughput() / t
-	}
-	p99Ratio := 0.0
-	if p := httpRes.lat.quantile(0.99); p > 0 {
-		p99Ratio = float64(wireRes.lat.quantile(0.99)) / float64(p)
-	}
-	delta := jsonResult{
+	hm, wm := reports[0].Metrics, reports[1].Metrics
+	speedup := ratio(wm["decisions_per_sec"], hm["decisions_per_sec"])
+	p99Ratio := ratio(wm["p99_ns"], hm["p99_ns"])
+	delta := &exp.Result{
 		ID:     "RINGLOAD-T16",
 		Title:  "transport comparison: binary streaming vs HTTP/JSON delta",
-		HostNs: httpRes.elapsed.Nanoseconds() + wireRes.elapsed.Nanoseconds(),
+		HostNs: reports[0].HostNs + reports[1].HostNs,
 		Metrics: map[string]float64{
 			"wire_speedup":           speedup,
 			"p99_ratio":              p99Ratio,
-			"http_decisions_per_sec": httpRes.throughput(),
-			"wire_decisions_per_sec": wireRes.throughput(),
-			"http_p99_ns":            float64(httpRes.lat.quantile(0.99)),
-			"wire_p99_ns":            float64(wireRes.lat.quantile(0.99)),
+			"http_decisions_per_sec": hm["decisions_per_sec"],
+			"wire_decisions_per_sec": wm["decisions_per_sec"],
+			"http_p99_ns":            hm["p99_ns"],
+			"wire_p99_ns":            wm["p99_ns"],
 			"clients":                float64(cfg.clients),
 			"batch":                  float64(cfg.batch),
 			"workers":                float64(cfg.workers),
@@ -444,178 +635,79 @@ func runT16(cfg config) ([]jsonResult, error) {
 		Lines: []string{
 			fmt.Sprintf("%d clients x batch %d, %d workers, %v per transport",
 				cfg.clients, cfg.batch, cfg.workers, cfg.duration),
-			fmt.Sprintf("http: %.0f decisions/s, p99 %v", httpRes.throughput(),
-				time.Duration(httpRes.lat.quantile(0.99))),
+			fmt.Sprintf("http: %.0f decisions/s, p99 %v", hm["decisions_per_sec"], time.Duration(hm["p99_ns"])),
 			fmt.Sprintf("wire: %.0f decisions/s, p99 %v (one session, pipelined)",
-				wireRes.throughput(), time.Duration(wireRes.lat.quantile(0.99))),
+				wm["decisions_per_sec"], time.Duration(wm["p99_ns"])),
 			fmt.Sprintf("wire/http: %.2fx throughput, %.2fx p99", speedup, p99Ratio),
 		},
 	}
-	return []jsonResult{httpReport, wireReport, delta}, nil
+	return append(reports[:], delta), nil
 }
 
-// ---- T17: client-side decision leases ----
-
-// t17Rates is the server-side mutation-rate grid, supervisor edits per
-// second against the user_data segment: an idle store, a trickle, and
-// an aggressive editor. Each rate prices the shootdown stream — every
-// edit invalidates the edited shard's leases on every subscribed
-// client mid-trial.
+// t17Rates is the supervisor mutation-rate grid, edits per second to
+// user_data: an idle store, a trickle and an aggressive editor. Every
+// edit shoots down the edited shard's leases on every subscribed client.
 var t17Rates = []int{0, 100, 1000}
 
-// t17Trial runs one closed-loop trial against the wire listener at
-// addr — through a plain session when cacheSize is 0, through a
-// decision-lease cache in front of the session otherwise — while a
-// paced supervisor goroutine edits user_data's brackets rate times per
-// second through the store's snapshot-publish path (the same edit
-// runTrial's in-process mutators stream, but rate-limited so both
-// trials in a grid cell see identical invalidation pressure).
-func t17Trial(cfg config, addr string, cacheSize int, rate int, tnt *tenant.Tenant, udSegno uint32, pools [][][]rings.Query) (*result, rings.CacheStats, error) {
-	rcfg := rings.RemoteConfig{Transport: "wire"}
-	if cacheSize > 0 {
-		rcfg.CacheSize = cacheSize
-		rcfg.CacheTTL = 5 * time.Second // coherence comes from shootdowns; TTL is the lag backstop
-	}
-	rc, err := rings.DialRemote(addr, rcfg)
+// runT17 measures, at each rate in t17Rates, the same batch pools
+// twice against one loopback wire listener: uncached (every batch a
+// round trip) and cached (repeat queries answered from decision leases
+// kept coherent by the shootdown stream).
+func runT17(cfg config) ([]*exp.Result, error) {
+	tnt, _, wireAddr, stop, err := loopback(cfg)
 	if err != nil {
-		return nil, rings.CacheStats{}, err
-	}
-	d := &remoteDriver{rc: rc}
-
-	stopMut := make(chan struct{})
-	var mutWG sync.WaitGroup
-	var mutations atomic.Uint64
-	var mutErr atomic.Value
-	if rate > 0 {
-		mutWG.Add(1)
-		go func() {
-			defer mutWG.Done()
-			wide := rings.Brackets{R1: 4, R2: 6, R3: 6}
-			narrow := rings.Brackets{R1: 4, R2: 5, R3: 5}
-			tick := time.NewTicker(time.Second / time.Duration(rate))
-			defer tick.Stop()
-			for i := 0; ; i++ {
-				select {
-				case <-stopMut:
-					return
-				case <-tick.C:
-				}
-				b := wide
-				if i%2 == 0 {
-					b = narrow
-				}
-				if err := tnt.Store().SetBrackets(udSegno, true, true, false, b, 0); err != nil {
-					mutErr.Store(err)
-					return
-				}
-				mutations.Add(1)
-			}
-		}()
-	}
-
-	res, err := runTrial(cfg, d, nil, pools)
-	close(stopMut)
-	mutWG.Wait()
-	stats := rc.CacheStats()
-	d.close()
-	if err != nil {
-		return nil, stats, err
-	}
-	if e, ok := mutErr.Load().(error); ok {
-		return nil, stats, e
-	}
-	res.mutations = mutations.Load()
-	return res, stats, nil
-}
-
-// runT17 serves one registry over a loopback wire listener and, for
-// each mutation rate in t17Rates, measures the same batch pools twice:
-// uncached (every batch a wire round trip) and cached (repeat queries
-// answered from decision leases kept coherent by the shootdown
-// stream). The headline is the idle-store cell: cached throughput over
-// uncached, at the observed lease hit rate.
-func runT17(cfg config) ([]jsonResult, error) {
-	reg := tenant.NewRegistry(tenant.Config{
-		MaxTenants:   1,
-		WorkerBudget: cfg.workers,
-	})
-	segs := loadImage()
-	tnt, err := reg.Load(tenant.DefaultTenant, segs, tenant.TenantConfig{
-		Workers: cfg.workers, QueueDepth: cfg.queue, Shards: cfg.shards,
-	})
-	if err != nil {
-		reg.Close()
 		return nil, err
 	}
+	defer stop()
 	udSegno, ok := tnt.Store().Segno("user_data")
 	if !ok {
-		reg.Close()
 		return nil, errors.New("demo image has no user_data segment")
 	}
-	wln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		reg.Close()
-		return nil, err
-	}
-	ws := wire.NewServer(reg, wire.Config{})
-	go ws.Serve(wln)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		ws.Shutdown(ctx)
-		reg.Close()
-	}()
-
-	cfg.mutators = 0 // T17 paces its own supervisor edits per grid cell
-	// Multi-shard effring chains are stamped Shard = -1 (their epoch
-	// interval is a sum over consulted shards), which makes them
-	// deliberately lease-ineligible — a single shootdown can't name
-	// their interval. One such query per batch forces the whole batch
-	// onto the wire, so the grid measures the cacheable mix.
+	// A multi-shard effring chain is lease-ineligible (no one shootdown
+	// names its epoch interval) and sends its whole batch over the wire,
+	// so the grid measures the cacheable mix.
 	cfg.mix.effring = 0
-	pools := genBatches(cfg, uint32(len(segs)))
-	// Each client cycles a 16-batch pool, so the whole working set is
-	// clients x 16 x batch queries; size the cache past it so eviction
-	// never competes with shootdowns for the hit rate.
-	cacheSize := 2 * cfg.clients * 16 * cfg.batch
+	// Size the cache past the working set (clients x poolSize x batch) so
+	// eviction never competes with shootdowns; the TTL is only the lag
+	// backstop.
+	uncached := rings.RemoteConfig{Transport: "wire"}
+	cached := rings.RemoteConfig{Transport: "wire",
+		CacheSize: 2 * cfg.clients * poolSize * cfg.batch, CacheTTL: 5 * time.Second}
 
-	addr := wln.Addr().String()
-	var out []jsonResult
-	var headSpeedup, headHitRate float64
+	var out []*exp.Result
 	var headNs int64
 	for _, rate := range t17Rates {
-		un, _, err := t17Trial(cfg, addr, 0, rate, tnt, udSegno, pools)
+		var mut *mutator
+		if rate > 0 {
+			mut = &mutator{every: time.Second / time.Duration(rate), set: func(b rings.Brackets) error {
+				return tnt.Store().SetBrackets(udSegno, true, true, false, b, 0)
+			}}
+		}
+		un, _, err := remoteTrial(cfg, wireAddr, uncached, mut)
 		if err != nil {
 			return nil, err
 		}
-		ca, stats, err := t17Trial(cfg, addr, cacheSize, rate, tnt, udSegno, pools)
+		ca, stats, err := remoteTrial(cfg, wireAddr, cached, mut)
 		if err != nil {
 			return nil, err
 		}
-		hitRate := 0.0
-		if n := stats.Hits + stats.Misses; n > 0 {
-			hitRate = float64(stats.Hits) / float64(n)
-		}
-		speedup := 0.0
-		if t := un.throughput(); t > 0 {
-			speedup = ca.throughput() / t
-		}
-		if rate == t17Rates[0] {
-			headSpeedup, headHitRate = speedup, hitRate
-		}
-		headNs += un.elapsed.Nanoseconds() + ca.elapsed.Nanoseconds()
-		out = append(out, jsonResult{
+		u, c := un.stat(0, 0), ca.stat(0, 0)
+		hitRate := ratio(float64(stats.Hits), float64(stats.Hits+stats.Misses))
+		speedup := ratio(c.perSec, u.perSec)
+		ns := un.elapsed.Nanoseconds() + ca.elapsed.Nanoseconds()
+		headNs += ns
+		out = append(out, &exp.Result{
 			ID:     fmt.Sprintf("RINGLOAD-T17-M%d", rate),
 			Title:  fmt.Sprintf("decision leases: cached vs uncached wire at %d edits/s", rate),
-			HostNs: un.elapsed.Nanoseconds() + ca.elapsed.Nanoseconds(),
+			HostNs: ns,
 			Metrics: map[string]float64{
 				"mutation_rate":              float64(rate),
-				"uncached_decisions_per_sec": un.throughput(),
-				"cached_decisions_per_sec":   ca.throughput(),
+				"uncached_decisions_per_sec": u.perSec,
+				"cached_decisions_per_sec":   c.perSec,
 				"cached_speedup":             speedup,
 				"hit_rate":                   hitRate,
-				"uncached_p99_ns":            float64(un.lat.quantile(0.99)),
-				"cached_p99_ns":              float64(ca.lat.quantile(0.99)),
+				"uncached_p99_ns":            float64(u.p99),
+				"cached_p99_ns":              float64(c.p99),
 				"lease_hits":                 float64(stats.Hits),
 				"lease_misses":               float64(stats.Misses),
 				"lease_shootdowns":           float64(stats.Shootdowns),
@@ -627,16 +719,16 @@ func runT17(cfg config) ([]jsonResult, error) {
 			Lines: []string{
 				fmt.Sprintf("%d clients x batch %d, %d workers, %v per trial, %d supervisor edits/s",
 					cfg.clients, cfg.batch, cfg.workers, cfg.duration, rate),
-				fmt.Sprintf("uncached wire: %.0f decisions/s, p99 %v", un.throughput(),
-					time.Duration(un.lat.quantile(0.99))),
+				fmt.Sprintf("uncached wire: %.0f decisions/s, p99 %v", u.perSec, u.p99),
 				fmt.Sprintf("cached wire: %.0f decisions/s, p99 %v (%.1f%% lease hits, %d shootdowns)",
-					ca.throughput(), time.Duration(ca.lat.quantile(0.99)),
-					100*hitRate, stats.Shootdowns),
+					c.perSec, c.p99, 100*hitRate, stats.Shootdowns),
 				fmt.Sprintf("cached/uncached: %.2fx throughput", speedup),
 			},
 		})
 	}
-	head := jsonResult{
+	// The headline is the idle-store cell.
+	headSpeedup, headHitRate := out[0].Metrics["cached_speedup"], out[0].Metrics["hit_rate"]
+	head := &exp.Result{
 		ID:     "RINGLOAD-T17",
 		Title:  "decision leases: client cache speedup over uncached wire",
 		HostNs: headNs,
@@ -656,563 +748,78 @@ func runT17(cfg config) ([]jsonResult, error) {
 	return append(out, head), nil
 }
 
-// ---- T15: multi-tenant isolation ----
-
-// zipfS is the Zipf skew of the hot-tenant pick: s=1.2 concentrates
-// most batches on the first few tenants, the realistic "one noisy
-// neighbour" shape.
-const zipfS = 1.2
-
-// t15Result is one T15 trial's measurements: the cold tenant's own
-// latency/throughput, the hot aggregate, and the per-tenant decision
-// spread.
-type t15Result struct {
-	elapsed   time.Duration
-	cold      hist
-	coldN     uint64
-	hot       hist
-	hotN      uint64
-	shed      uint64
-	perTenant []uint64
-}
-
-// t15Trial drives one trial: a single cold client on the last tenant,
-// plus (when contended) cfg.clients hot clients Zipf-spread over the
-// others. pools must hold cfg.clients+1 client pools; the extra one
-// feeds the cold client.
-func t15Trial(cfg config, ts []*tenant.Tenant, pools [][][]rings.Query, contended bool) (*t15Result, error) {
-	res := &t15Result{}
-	cold := ts[len(ts)-1]
-	nhot := 0
-	if contended {
-		nhot = cfg.clients
-	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	errc := make(chan error, nhot+1)
-	hotHists := make([]hist, nhot)
-	perTenant := make([]atomic.Uint64, len(ts))
-	var hotN, shed atomic.Uint64
-	ctx := context.Background()
-
-	start := time.Now()
-	for c := 0; c < nhot; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + 1000 + int64(c)))
-			zipf := rand.NewZipf(rng, zipfS, 1, uint64(len(ts)-2))
-			dst := make([]rings.Decision, cfg.batch)
-			pool := pools[c]
-			for i := 0; !stop.Load(); i++ {
-				idx := int(zipf.Uint64())
-				batch := pool[i%len(pool)]
-				t0 := time.Now()
-				err := ts[idx].SubmitInto(ctx, batch, dst)
-				switch {
-				case err == nil:
-					hotHists[c].add(time.Since(t0).Nanoseconds())
-					perTenant[idx].Add(uint64(len(batch)))
-					hotN.Add(uint64(len(batch)))
-				case errors.Is(err, rings.ErrQueueFull):
-					shed.Add(1)
-				default:
-					errc <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		dst := make([]rings.Decision, cfg.batch)
-		pool := pools[cfg.clients]
-		for i := 0; !stop.Load(); i++ {
-			batch := pool[i%len(pool)]
-			t0 := time.Now()
-			err := cold.SubmitInto(ctx, batch, dst)
-			switch {
-			case err == nil:
-				res.cold.add(time.Since(t0).Nanoseconds())
-				res.coldN += uint64(len(batch))
-			case errors.Is(err, rings.ErrQueueFull):
-				shed.Add(1)
-			default:
-				errc <- err
-				return
-			}
-		}
-	}()
-	time.Sleep(cfg.duration)
-	stop.Store(true)
-	wg.Wait()
-	res.elapsed = time.Since(start)
-	select {
-	case err := <-errc:
-		return nil, err
-	default:
-	}
-	res.hotN, res.shed = hotN.Load(), shed.Load()
-	for i := range hotHists {
-		res.hot.merge(&hotHists[i])
-	}
-	res.perTenant = make([]uint64, len(ts))
-	for i := range perTenant {
-		res.perTenant[i] = perTenant[i].Load()
-	}
-	return res, nil
-}
-
-// runT15 loads cfg.tenants independent demo-image tenants into one
-// registry, measures the cold tenant alone (baseline), then again with
-// Zipf-skewed hot neighbours, and reports both trials.
-func runT15(cfg config) ([]jsonResult, error) {
-	if cfg.tenants < 2 {
-		return nil, fmt.Errorf("-tenants wants at least 2, got %d", cfg.tenants)
-	}
-	reg := tenant.NewRegistry(tenant.Config{
-		MaxTenants:   cfg.tenants,
-		WorkerBudget: cfg.tenants * cfg.workers,
-	})
-	defer reg.Close()
-	segs := loadImage()
-	ts := make([]*tenant.Tenant, cfg.tenants)
-	for i := range ts {
-		t, err := reg.Load(fmt.Sprintf("t%d", i), segs, tenant.TenantConfig{
-			Workers: cfg.workers, QueueDepth: cfg.queue, Shards: cfg.shards,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ts[i] = t
-	}
-
-	gen := cfg
-	gen.clients = cfg.clients + 1 // the extra pool feeds the cold client
-	pools := genBatches(gen, uint32(len(segs)))
-
-	base, err := t15Trial(cfg, ts, pools, false)
-	if err != nil {
-		return nil, err
-	}
-	cont, err := t15Trial(cfg, ts, pools, true)
-	if err != nil {
-		return nil, err
-	}
-
-	coldTPS := func(r *t15Result) float64 {
-		if r.elapsed <= 0 {
-			return 0
-		}
-		return float64(r.coldN) / r.elapsed.Seconds()
-	}
-	baseline := jsonResult{
-		ID:     "RINGLOAD-T15-BASELINE",
-		Title:  "tenant isolation baseline: cold tenant alone",
-		HostNs: base.elapsed.Nanoseconds(),
-		Metrics: map[string]float64{
-			"cold_decisions_per_sec": coldTPS(base),
-			"cold_p50_ns":            float64(base.cold.quantile(0.50)),
-			"cold_p99_ns":            float64(base.cold.quantile(0.99)),
-			"tenants":                float64(cfg.tenants),
-			"workers_per_tenant":     float64(cfg.workers),
-			"batch":                  float64(cfg.batch),
-		},
-		Lines: []string{
-			fmt.Sprintf("%d tenants x %d workers, cold client only, batch %d, %v",
-				cfg.tenants, cfg.workers, cfg.batch, cfg.duration),
-			fmt.Sprintf("cold tenant t%d: %d decisions (%.0f/s), p50 %v p99 %v",
-				cfg.tenants-1, base.coldN, coldTPS(base),
-				time.Duration(base.cold.quantile(0.50)), time.Duration(base.cold.quantile(0.99))),
-		},
-	}
-
-	ratio := 0.0
-	if p := base.cold.quantile(0.99); p > 0 {
-		ratio = float64(cont.cold.quantile(0.99)) / float64(p)
-	}
-	hottest := 0
-	for i, n := range cont.perTenant {
-		if n > cont.perTenant[hottest] {
-			hottest = i
-		}
-	}
-	hotShare := 0.0
-	if cont.hotN > 0 {
-		hotShare = 100 * float64(cont.perTenant[hottest]) / float64(cont.hotN)
-	}
-	contended := jsonResult{
-		ID:     "RINGLOAD-T15",
-		Title:  "tenant isolation: Zipf-hot neighbours vs cold tenant p99",
-		HostNs: cont.elapsed.Nanoseconds(),
-		Metrics: map[string]float64{
-			"hot_decisions_per_sec":  float64(cont.hotN) / cont.elapsed.Seconds(),
-			"hot_p99_ns":             float64(cont.hot.quantile(0.99)),
-			"shed_batches":           float64(cont.shed),
-			"cold_decisions_per_sec": coldTPS(cont),
-			"cold_p99_ns":            float64(cont.cold.quantile(0.99)),
-			"cold_p99_baseline_ns":   float64(base.cold.quantile(0.99)),
-			"cold_p99_ratio":         ratio,
-			"tenants":                float64(cfg.tenants),
-			"workers_per_tenant":     float64(cfg.workers),
-			"clients":                float64(cfg.clients),
-			"batch":                  float64(cfg.batch),
-		},
-		Lines: []string{
-			fmt.Sprintf("%d tenants x %d workers, %d hot clients (zipf s=%.1f over t0..t%d) + 1 cold client, batch %d, %v",
-				cfg.tenants, cfg.workers, cfg.clients, zipfS, cfg.tenants-2, cfg.batch, cfg.duration),
-			fmt.Sprintf("hot aggregate: %d decisions (%.0f/s), p99 %v, %d batches shed; hottest t%d took %.0f%%",
-				cont.hotN, float64(cont.hotN)/cont.elapsed.Seconds(),
-				time.Duration(cont.hot.quantile(0.99)), cont.shed, hottest, hotShare),
-			fmt.Sprintf("cold tenant t%d: %d decisions (%.0f/s), p99 %v vs baseline %v (ratio %.2f)",
-				cfg.tenants-1, cont.coldN, coldTPS(cont),
-				time.Duration(cont.cold.quantile(0.99)), time.Duration(base.cold.quantile(0.99)), ratio),
-		},
-	}
-	return []jsonResult{baseline, contended}, nil
-}
-
-// ---- Run loop ----
-
-// result is one trial's measurements.
-type result struct {
-	shards    int
-	elapsed   time.Duration
-	decisions uint64
-	batches   uint64
-	shed      uint64
-	mutations uint64
-	lat       hist
-}
-
-func (r *result) throughput() float64 {
-	if r.elapsed <= 0 {
-		return 0
-	}
-	return float64(r.decisions) / r.elapsed.Seconds()
-}
-
-// runTrial drives the closed loop: cfg.clients goroutines submitting
-// from their batch pools until the duration elapses, plus cfg.mutators
-// supervisor goroutines (in-process only) streaming bracket edits.
-func runTrial(cfg config, d driver, chk *rings.Checker, pools [][][]rings.Query) (*result, error) {
-	res := &result{shards: cfg.shards}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	errc := make(chan error, cfg.clients+cfg.mutators)
-	hists := make([]hist, cfg.clients)
-	var decisions, batches, shed, mutations atomic.Uint64
-
-	start := time.Now()
-	for c := 0; c < cfg.clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			dst := make([]rings.Decision, cfg.batch)
-			pool := pools[c]
-			for i := 0; !stop.Load(); i++ {
-				batch := pool[i%len(pool)]
-				t0 := time.Now()
-				wasShed, err := d.submit(c, batch, dst)
-				if err != nil {
-					errc <- err
-					return
-				}
-				if wasShed {
-					shed.Add(1)
-					continue
-				}
-				hists[c].add(time.Since(t0).Nanoseconds())
-				decisions.Add(uint64(len(batch)))
-				batches.Add(1)
-			}
-		}()
-	}
-	wide := rings.Brackets{R1: 4, R2: 6, R3: 6}
-	narrow := rings.Brackets{R1: 4, R2: 5, R3: 5}
-	for m := 0; m < cfg.mutators; m++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				b := wide
-				if i%2 == 0 {
-					b = narrow
-				}
-				if err := chk.SetBrackets("user_data", true, true, false, b, 0); err != nil {
-					errc <- err
-					return
-				}
-				mutations.Add(1)
-			}
-		}()
-	}
-	time.Sleep(cfg.duration)
-	stop.Store(true)
-	wg.Wait()
-	res.elapsed = time.Since(start)
-	select {
-	case err := <-errc:
-		return nil, err
-	default:
-	}
-	res.decisions, res.batches = decisions.Load(), batches.Load()
-	res.shed, res.mutations = shed.Load(), mutations.Load()
-	for i := range hists {
-		res.lat.merge(&hists[i])
-	}
-	return res, nil
-}
-
-// jsonResult matches ringbench -json's element shape so both artifacts
-// feed the same tooling.
-type jsonResult struct {
-	ID      string             `json:"id"`
-	Title   string             `json:"title"`
-	HostNs  int64              `json:"host_ns"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-	Lines   []string           `json:"lines"`
-}
-
-func report(cfg config, res *result, mode string) jsonResult {
-	id := "RINGLOAD"
-	switch {
-	case len(cfg.sweep) > 0 && len(cfg.sweepWorkers) > 0:
-		id = fmt.Sprintf("RINGLOAD-S%d-W%d", res.shards, cfg.workers)
-	case len(cfg.sweep) > 0:
-		id = fmt.Sprintf("RINGLOAD-S%d", res.shards)
-	case len(cfg.sweepWorkers) > 0:
-		id = fmt.Sprintf("RINGLOAD-W%d", cfg.workers)
-	}
-	lines := []string{
-		fmt.Sprintf("mode %s, %d clients x batch %d, %v", mode, cfg.clients, cfg.batch, cfg.duration),
-		fmt.Sprintf("mix access=%d call=%d return=%d effring=%d, seed %d",
-			cfg.mix.access, cfg.mix.call, cfg.mix.ret, cfg.mix.effring, cfg.seed),
-		fmt.Sprintf("decisions %d in %v (%.0f decisions/s), %d batches, %d shed",
-			res.decisions, res.elapsed.Round(time.Millisecond), res.throughput(), res.batches, res.shed),
-		fmt.Sprintf("batch latency p50 %v p95 %v p99 %v",
-			time.Duration(res.lat.quantile(0.50)), time.Duration(res.lat.quantile(0.95)), time.Duration(res.lat.quantile(0.99))),
-	}
-	if mode == "in-process" {
-		lines = append(lines, fmt.Sprintf("shards %d, workers %d, %d concurrent supervisor edits",
-			res.shards, cfg.workers, res.mutations))
-	}
-	return jsonResult{
-		ID:     id,
-		Title:  "protection-decision load: synthetic access/call/return mix",
-		HostNs: res.elapsed.Nanoseconds(),
-		Metrics: map[string]float64{
-			"decisions_per_sec": res.throughput(),
-			"decisions":         float64(res.decisions),
-			"batches":           float64(res.batches),
-			"shed_batches":      float64(res.shed),
-			"mutations":         float64(res.mutations),
-			"p50_ns":            float64(res.lat.quantile(0.50)),
-			"p95_ns":            float64(res.lat.quantile(0.95)),
-			"p99_ns":            float64(res.lat.quantile(0.99)),
-			"clients":           float64(cfg.clients),
-			"batch":             float64(cfg.batch),
-			"workers":           float64(cfg.workers),
-			"shards":            float64(res.shards),
-		},
-		Lines: lines,
-	}
-}
-
-// trialInProcess builds a Checker at the given shard count and runs one
-// trial over it.
-func trialInProcess(cfg config, shards int) (*result, error) {
-	chk, err := rings.NewCheckerWith(rings.CheckerConfig{
-		Workers:    cfg.workers,
-		QueueDepth: cfg.queue,
-		Shards:     shards,
-	}, loadImage())
-	if err != nil {
-		return nil, err
-	}
-	d := &checkerDriver{chk: chk}
-	defer d.close()
-	cfg.shards = chk.Shards()
-	pools := genBatches(cfg, uint32(len(loadImage())))
-	return runTrial(cfg, d, chk, pools)
-}
+// ---- Command ----
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ringload", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	clients := fs.Int("c", 4, "concurrent closed-loop clients")
-	duration := fs.Duration("duration", 2*time.Second, "run length per trial")
-	batch := fs.Int("batch", 64, "queries per submitted batch")
-	mixFlag := fs.String("mix", "access=8,call=1,return=1,effring=1", "query mix weights")
-	workers := fs.Int("workers", 4, "decision slots (in-process mode)")
-	shards := fs.Int("shards", 0, "descriptor-store shards (in-process; 0 = default)")
-	queue := fs.Int("queue", 0, "callers allowed to wait for a decision slot (in-process; 0 = default)")
-	mutators := fs.Int("mutators", 1, "concurrent supervisor-edit goroutines (in-process)")
-	seed := fs.Int64("seed", 1, "query-generation seed")
+	cfg := config{mix: defaultMix}
+	fs.IntVar(&cfg.clients, "c", 4, "concurrent closed-loop clients")
+	fs.DurationVar(&cfg.duration, "duration", 2*time.Second, "run length per trial")
+	fs.IntVar(&cfg.batch, "batch", 64, "queries per submitted batch")
+	fs.IntVar(&cfg.workers, "workers", 4, "decision slots per checker or tenant (not with -target)")
+	fs.IntVar(&cfg.queue, "queue", 0, "callers allowed to wait for a decision slot (not with -target; 0 = default)")
+	fs.Int64Var(&cfg.seed, "seed", 1, "query-generation seed")
 	sweepFlag := fs.String("sweep", "", "comma-separated shard counts to sweep (in-process)")
 	sweepWorkersFlag := fs.String("sweep-workers", "", "comma-separated worker counts to sweep (in-process; with -sweep, the cross product)")
-	tenants := fs.Int("tenants", 1, "tenants for the T15 isolation experiment (>= 2 enables it; in-process)")
-	target := fs.String("target", "", "ringd base URL; empty runs in-process")
-	transport := fs.String("transport", "http", "transport for -target mode: http (JSON request-response) or wire (binary streaming session)")
-	compare := fs.Bool("compare-transports", false, "run the T16 transport experiment in-process: same registry over HTTP and wire loopback listeners")
-	clientCache := fs.Bool("client-cache", false, "run the T17 decision-lease experiment in-process: cached wire clients vs uncached across a mutation-rate grid")
+	fs.IntVar(&cfg.tenants, "tenants", 1, "tenants for the T15 isolation experiment (>= 2 enables it)")
+	target := fs.String("target", "", "ringd base URL, or wire address; empty runs in-process")
+	transport := fs.String("transport", "http", "transport for -target: http (JSON request-response) or wire (binary streaming session)")
+	compare := fs.Bool("compare-transports", false, "run the T16 transport experiment: same registry over HTTP and wire loopback listeners")
+	clientCache := fs.Bool("client-cache", false, "run the T17 decision-lease experiment: cached wire clients vs uncached across a mutation-rate grid")
 	jsonOut := fs.Bool("json", false, "emit results as a ringbench-compatible JSON array")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	m, err := parseMix(*mixFlag)
-	if err != nil {
+	fail := func(err error) int {
 		fmt.Fprintln(stderr, "ringload:", err)
 		return 1
 	}
 	sweep, err := parseSweep(*sweepFlag)
-	if err != nil {
-		fmt.Fprintln(stderr, "ringload:", err)
-		return 1
+	sweepWorkers, err2 := parseSweep(*sweepWorkersFlag)
+	if err = errors.Join(err, err2); err != nil {
+		return fail(err)
 	}
-	sweepWorkers, err := parseSweep(*sweepWorkersFlag)
-	if err != nil {
-		fmt.Fprintln(stderr, "ringload:", err)
-		return 1
+	experiments := 0
+	for _, on := range []bool{len(sweep)+len(sweepWorkers) > 0, *target != "", cfg.tenants > 1, *compare, *clientCache} {
+		if on {
+			experiments++
+		}
 	}
-	if *clients <= 0 || *batch <= 0 || *duration <= 0 {
-		fmt.Fprintln(stderr, "ringload: -c, -batch and -duration must be positive")
-		return 1
-	}
-	if *tenants > 1 && *target != "" {
-		fmt.Fprintln(stderr, "ringload: -tenants is in-process only, not with -target")
-		return 1
-	}
-	if *transport != "http" && *transport != "wire" {
-		fmt.Fprintf(stderr, "ringload: -transport must be http or wire, got %q\n", *transport)
-		return 1
-	}
-	if *compare && *target != "" {
-		fmt.Fprintln(stderr, "ringload: -compare-transports is in-process only, not with -target")
-		return 1
-	}
-	if *compare && *tenants > 1 {
-		fmt.Fprintln(stderr, "ringload: -compare-transports and -tenants are separate experiments")
-		return 1
-	}
-	if *clientCache && *target != "" {
-		fmt.Fprintln(stderr, "ringload: -client-cache is in-process only, not with -target")
-		return 1
-	}
-	if *clientCache && *tenants > 1 {
-		fmt.Fprintln(stderr, "ringload: -client-cache and -tenants are separate experiments")
-		return 1
-	}
-	cfg := config{
-		clients: *clients, duration: *duration, batch: *batch, mix: m,
-		workers: *workers, shards: *shards, queue: *queue,
-		mutators: *mutators, seed: *seed, sweep: sweep, sweepWorkers: sweepWorkers,
-		tenants: *tenants, target: *target, transport: *transport,
-		compare: *compare, clientCache: *clientCache, jsonOut: *jsonOut,
-	}
-
-	var results []jsonResult
 	switch {
-	case cfg.target != "":
-		d, segments, err := dialRemoteDriver(cfg.target, cfg.transport)
-		if err != nil {
-			fmt.Fprintln(stderr, "ringload:", err)
-			return 1
-		}
-		cfg.mutators = 0 // supervisor edits are in-process only
-		pools := genBatches(cfg, segments)
-		res, err := runTrial(cfg, d, nil, pools)
-		d.close()
-		if err != nil {
-			fmt.Fprintln(stderr, "ringload:", err)
-			return 1
-		}
-		results = append(results, report(cfg, res, cfg.transport))
-	default:
-		// In-process sections compose: a sweep grid, the T15 tenant
-		// experiment, or (when neither is asked for) one plain trial —
-		// all emitted into the same results array, so CI gets one
-		// artifact from one invocation.
-		ran := false
-		if len(cfg.sweep) > 0 || len(cfg.sweepWorkers) > 0 {
-			// Sweep the worker × shard grid in ascending order; a missing
-			// axis holds the flag (or default) value fixed.
-			shardCounts := append([]int(nil), cfg.sweep...)
-			if len(shardCounts) == 0 {
-				shardCounts = []int{cfg.shards}
-			}
-			workerCounts := append([]int(nil), cfg.sweepWorkers...)
-			if len(workerCounts) == 0 {
-				workerCounts = []int{cfg.workers}
-			}
-			sort.Ints(shardCounts)
-			sort.Ints(workerCounts)
-			scfg := cfg
-			for _, w := range workerCounts {
-				for _, n := range shardCounts {
-					scfg.workers = w
-					res, err := trialInProcess(scfg, n)
-					if err != nil {
-						fmt.Fprintln(stderr, "ringload:", err)
-						return 1
-					}
-					results = append(results, report(scfg, res, "in-process"))
-				}
-			}
-			ran = true
-		}
-		if cfg.tenants > 1 {
-			t15, err := runT15(cfg)
-			if err != nil {
-				fmt.Fprintln(stderr, "ringload:", err)
-				return 1
-			}
-			results = append(results, t15...)
-			ran = true
-		}
-		if cfg.compare {
-			t16, err := runT16(cfg)
-			if err != nil {
-				fmt.Fprintln(stderr, "ringload:", err)
-				return 1
-			}
-			results = append(results, t16...)
-			ran = true
-		}
-		if cfg.clientCache {
-			t17, err := runT17(cfg)
-			if err != nil {
-				fmt.Fprintln(stderr, "ringload:", err)
-				return 1
-			}
-			results = append(results, t17...)
-			ran = true
-		}
-		if !ran {
-			res, err := trialInProcess(cfg, cfg.shards)
-			if err != nil {
-				fmt.Fprintln(stderr, "ringload:", err)
-				return 1
-			}
-			results = append(results, report(cfg, res, "in-process"))
-		}
+	case cfg.clients <= 0 || cfg.batch <= 0 || cfg.duration <= 0:
+		return fail(errors.New("-c, -batch and -duration must be positive"))
+	case *transport != "http" && *transport != "wire":
+		return fail(fmt.Errorf("-transport must be http or wire, got %q", *transport))
+	case experiments > 1:
+		return fail(errors.New("one experiment per invocation: -sweep/-sweep-workers, -target, -tenants, -compare-transports and -client-cache exclude each other"))
 	}
 
-	if cfg.jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(results); err != nil {
-			fmt.Fprintln(stderr, "ringload:", err)
-			return 1
+	var results []*exp.Result
+	switch {
+	case *target != "":
+		var res *result
+		if res, _, err = remoteTrial(cfg, *target, rings.RemoteConfig{Transport: *transport}, nil); err == nil {
+			results = []*exp.Result{report(cfg, "RINGLOAD", *transport, 0, res)}
 		}
-		return 0
+	case cfg.tenants > 1:
+		results, err = runT15(cfg)
+	case *compare:
+		results, err = runT16(cfg)
+	case *clientCache:
+		results, err = runT17(cfg)
+	default:
+		results, err = runGrid(cfg, sweep, sweepWorkers)
 	}
-	for _, r := range results {
-		fmt.Fprintf(stdout, "== %s: %s\n", r.ID, r.Title)
-		for _, line := range r.Lines {
-			fmt.Fprintln(stdout, "  ", line)
+	if err == nil && *jsonOut {
+		err = exp.WriteJSON(stdout, results)
+	} else if err == nil {
+		for _, r := range results {
+			fmt.Fprintln(stdout, r)
 		}
+	}
+	if err != nil {
+		return fail(err)
 	}
 	return 0
 }

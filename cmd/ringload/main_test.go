@@ -14,29 +14,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/service"
 	"repro/internal/tenant"
 	"repro/internal/wire"
 	"repro/rings"
 )
-
-func TestParseMix(t *testing.T) {
-	m, err := parseMix("access=8,call=1,return=1,effring=1")
-	if err != nil {
-		t.Fatalf("parseMix: %v", err)
-	}
-	if m != (mix{access: 8, call: 1, ret: 1, effring: 1}) || m.total() != 11 {
-		t.Errorf("mix = %+v", m)
-	}
-	if m, err := parseMix("access=1"); err != nil || m.total() != 1 {
-		t.Errorf("access-only mix: %+v, %v", m, err)
-	}
-	for _, bad := range []string{"", "access", "access=-1", "frobnicate=3", "access=0,call=0"} {
-		if _, err := parseMix(bad); err == nil {
-			t.Errorf("parseMix(%q): want error", bad)
-		}
-	}
-}
 
 func TestParseSweep(t *testing.T) {
 	s, err := parseSweep("1, 2,4,8")
@@ -84,9 +67,9 @@ func TestHistQuantile(t *testing.T) {
 // reproducible for a seed and only produces well-formed queries (the
 // load must measure decisions, not error handling).
 func TestGenQueryDeterministicAndValid(t *testing.T) {
-	m := mix{access: 8, call: 1, ret: 1, effring: 1}
+	m := defaultMix
 	a, b := rand.New(rand.NewSource(42)), rand.New(rand.NewSource(42))
-	chk, err := rings.NewChecker(loadImage())
+	chk, err := rings.NewChecker(tenant.DemoImage())
 	if err != nil {
 		t.Fatalf("NewChecker: %v", err)
 	}
@@ -107,13 +90,13 @@ func TestGenQueryDeterministicAndValid(t *testing.T) {
 }
 
 // runJSON runs the command and decodes its JSON output.
-func runJSON(t *testing.T, args ...string) []jsonResult {
+func runJSON(t *testing.T, args ...string) []exp.Result {
 	t.Helper()
 	var out, errOut bytes.Buffer
 	if code := run(append(args, "-json"), &out, &errOut); code != 0 {
 		t.Fatalf("run(%v) = %d, stderr: %s", args, code, errOut.String())
 	}
-	var results []jsonResult
+	var results []exp.Result
 	if err := json.Unmarshal(out.Bytes(), &results); err != nil {
 		t.Fatalf("output is not a JSON array: %v\n%s", err, out.String())
 	}
@@ -248,7 +231,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // decisions, mirroring TestRunHTTPTarget.
 func TestRunWireTarget(t *testing.T) {
 	reg := tenant.NewRegistry(tenant.Config{MaxTenants: 1, WorkerBudget: 2})
-	if _, err := reg.Load(tenant.DefaultTenant, loadImage(), tenant.TenantConfig{Workers: 2}); err != nil {
+	if _, err := reg.Load(tenant.DefaultTenant, tenant.DemoImage(), tenant.TenantConfig{Workers: 2}); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
