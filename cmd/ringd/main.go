@@ -41,8 +41,9 @@
 // epoch) and a final LeaseExpire when the tenant drains — the feed a
 // client-side decision-lease cache (rings.DialRemote with CacheSize)
 // stays coherent by. Per-tenant subscriber/shootdown/expire counters
-// appear under "leases" in /metrics. See DESIGN.md "Wire protocol" and
-// "Distributed decision leases".
+// appear under "leases" in /metrics. Each frame the server writes must
+// go out within 10 s; a client that stops reading loses its session.
+// See DESIGN.md "Wire protocol" and "Distributed decision leases".
 //
 // The startup image (the -image file, or a built-in demonstration
 // image) is loaded as the tenant named "default". Image files are JSON
@@ -50,8 +51,9 @@
 // access flags, ring brackets and gate count; POST /v1/images accepts
 // the same segments inline, or a "file" name resolved inside -image-dir
 // when that flag is set. Mutations against a sealed or draining tenant
-// answer 409. On SIGINT/SIGTERM the daemon stops accepting, lets every
-// in-flight batch finish, evicts every tenant and exits.
+// answer 409. On SIGINT/SIGTERM the daemon stops accepting, closes
+// connections that have not yet sent a request, lets every in-flight
+// batch finish, evicts every tenant and exits.
 package main
 
 import (
