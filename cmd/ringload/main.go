@@ -243,11 +243,15 @@ func (r *result) stat(lo, hi int) stat {
 	var lat hist
 	for i := lo; i < hi; i++ {
 		t := &r.clients[i]
-		s.decisions, s.batches, s.shed = s.decisions+t.decisions, s.batches+t.batches, s.shed+t.shed
+		s.decisions += t.decisions
+		s.batches += t.batches
+		s.shed += t.shed
 		lat.merge(&t.lat)
 	}
 	s.perSec = ratio(float64(s.decisions), r.elapsed.Seconds())
-	s.p50, s.p95, s.p99 = time.Duration(lat.quantile(0.50)), time.Duration(lat.quantile(0.95)), time.Duration(lat.quantile(0.99))
+	s.p50 = time.Duration(lat.quantile(0.50))
+	s.p95 = time.Duration(lat.quantile(0.95))
+	s.p99 = time.Duration(lat.quantile(0.99))
 	return s
 }
 
@@ -811,15 +815,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	default:
 		results, err = runGrid(cfg, sweep, sweepWorkers)
 	}
-	if err == nil && *jsonOut {
-		err = exp.WriteJSON(stdout, results)
-	} else if err == nil {
-		for _, r := range results {
-			fmt.Fprintln(stdout, r)
-		}
-	}
 	if err != nil {
 		return fail(err)
+	}
+	if *jsonOut {
+		if err := exp.WriteJSON(stdout, results); err != nil {
+			return fail(err)
+		}
+		return 0
+	}
+	for _, r := range results {
+		fmt.Fprintln(stdout, r)
 	}
 	return 0
 }
