@@ -480,20 +480,15 @@ func runT15(cfg config) ([]*exp.Result, error) {
 	gen.clients = cfg.clients + 1 // the extra pool feeds the cold client
 	pools := genBatches(gen, uint32(len(segs)))
 	ctx := context.Background()
-	perTenant := make([]atomic.Uint64, len(ts))
 	clients := make([]client, cfg.clients+1)
 	for c := range clients {
 		zipf := rand.NewZipf(rand.New(rand.NewSource(cfg.seed+1000+int64(c))), zipfS, 1, uint64(len(ts)-2))
 		clients[c] = client{pool: pools[c], submit: func(batch []rings.Query, dst []rings.Decision) error {
-			if c == cfg.clients { // the cold client keeps to the last tenant
-				return ts[len(ts)-1].SubmitInto(ctx, batch, dst)
+			t := ts[len(ts)-1] // the cold client keeps to the last tenant
+			if c < cfg.clients {
+				t = ts[zipf.Uint64()]
 			}
-			idx := zipf.Uint64()
-			err := ts[idx].SubmitInto(ctx, batch, dst)
-			if err == nil {
-				perTenant[idx].Add(uint64(len(batch)))
-			}
-			return err
+			return t.SubmitInto(ctx, batch, dst)
 		}}
 	}
 
@@ -508,13 +503,15 @@ func runT15(cfg config) ([]*exp.Result, error) {
 	b, hot, c := base.stat(0, 0), cont.stat(0, cfg.clients), cont.stat(cfg.clients, 0)
 	shed := hot.shed + c.shed
 	p99Ratio := ratio(float64(c.p99), float64(b.p99))
-	hottest := 0
-	for i := range perTenant {
-		if perTenant[i].Load() > perTenant[hottest].Load() {
-			hottest = i
+	// The hot tenants are idle until the contended trial, so their
+	// services' query counts are that trial's per-tenant spread.
+	hottest, most := 0, uint64(0)
+	for i, t := range ts[:len(ts)-1] {
+		if n := t.Service().Snapshot().Queries; n > most {
+			hottest, most = i, n
 		}
 	}
-	hotShare := 100 * ratio(float64(perTenant[hottest].Load()), float64(hot.decisions))
+	hotShare := 100 * ratio(float64(most), float64(hot.decisions))
 
 	baseline := &exp.Result{
 		ID:     "RINGLOAD-T15-BASELINE",
