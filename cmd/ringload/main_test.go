@@ -215,6 +215,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	var out, errOut bytes.Buffer
 	for _, args := range [][]string{
 		{"-mix", "bogus"},
+		{"-mutators", "1"},
+		{"-shards", "8"},
 		{"-sweep", "0"},
 		{"-sweep-workers", "0"},
 		{"-c", "0"},
@@ -306,6 +308,9 @@ func TestRunRejectsBadTransportFlags(t *testing.T) {
 		{"-transport", "telepathy"},
 		{"-compare-transports", "-target", "http://localhost:1"},
 		{"-compare-transports", "-tenants", "2"},
+		{"-client-cache", "-compare-transports"},
+		{"-sweep", "2", "-tenants", "3"},
+		{"-sweep-workers", "2", "-target", "http://localhost:1"},
 	} {
 		if code := run(args, &out, &errOut); code == 0 {
 			t.Errorf("run(%v): want non-zero exit", args)
