@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 )
@@ -17,11 +16,11 @@ const violationKinds = core.ViolationKindCount
 // lay in [2^i, 2^(i+1)) nanoseconds.
 const latencyBuckets = 32
 
-// Counter indices into counters: decision outcomes, then queries per
-// op, then snapshot reads and validations, then denials per violation
-// kind — the counters a batch tallies — then the latency histogram.
-// Batches and queries are not counted: Snapshot sums them from the
-// histogram and the per-op counts.
+// Counter indices into counters and tally: decision outcomes, then
+// queries per op, then snapshot reads and validations, then denials per
+// violation kind, then the latency histogram. Batches and queries are
+// not counted: Snapshot sums them from the histogram and the per-op
+// counts.
 const (
 	cAllowed = iota
 	cDenied
@@ -36,24 +35,33 @@ const (
 	cLookups                               // descriptor reads
 	cValidates                             // read and write checks: the events map's "validate"
 	cFaults                                // violationKinds counters
-	numTallied  = cFaults + violationKinds // the counters a tally holds
-	cLatency    = numTallied               // latencyBuckets counters
+	cLatency    = cFaults + violationKinds // latencyBuckets counters
 	numCounters = cLatency + latencyBuckets
 )
 
-// counters is one decision slot's always-on instrumentation: decision
+// flushEvery is how many batches a slot's holders tally in plain words
+// before the holder of the last one moves the tally into the slot's
+// counters.
+const flushEvery = 64
+
+// counters is one decision slot's published instrumentation: decision
 // counts, snapshot reads, validations, faults by kind, and a
-// power-of-two batch-latency histogram. Only the caller holding the
-// slot writes them, once per batch (add and observe), and a released
-// slot goes first to the next caller on the same P, so they move
-// between cores only when a slot changes P; Snapshot sums every slot's
-// counters, a monitoring-grade (not transactionally consistent) view.
+// power-of-two batch-latency histogram. Only a holder of the slot
+// writes them, when it flushes the slot's tally: every flushEvery-th
+// batch, or in Snapshot when the slot is free. Snapshot sums every
+// slot's counters, a monitoring-grade (not transactionally consistent)
+// view. A slot that is busy during a scrape contributes only the
+// batches it has already flushed, at most flushEvery-1 behind, so every
+// count is exact once the service is quiet and never goes down between
+// scrapes.
 type counters [numCounters]atomic.Uint64
 
-// tally is one batch's counters in plain words: the slot holder counts
-// each decision into it and adds it to the slot's counters when the
-// batch ends, so deciding performs no atomic read-modify-write.
-type tally [numTallied]uint64
+// tally is a slot's unflushed counts in plain words: each holder counts
+// its decisions and its batch's latency bucket into it, and taking and
+// releasing the slot's busy flag orders successive holders, so deciding
+// performs no atomic read-modify-write on the slot's counters except
+// in the batch that flushes.
+type tally [numCounters]uint64
 
 // count tallies one decision.
 //
@@ -87,14 +95,6 @@ func (t *tally) count(op Op, d *Decision) {
 	}
 }
 
-// observe counts one completed batch in its admission-to-completion
-// latency bucket.
-//
-//ring:hotpath
-func (c *counters) observe(d time.Duration) {
-	c[cLatency+latencyBucket(d.Nanoseconds())].Add(1)
-}
-
 // latencyBucket is the histogram bucket of a v-nanosecond latency:
 // floor(log2 v), capped at the last bucket; 0 for v below 2.
 //
@@ -106,7 +106,7 @@ func latencyBucket(v int64) int {
 	return min(latencyBuckets-1, bits.Len64(uint64(v))-1)
 }
 
-// add moves a finished batch's tally into c and clears it.
+// add moves a tally into c and clears it.
 //
 //ring:hotpath
 func (c *counters) add(t *tally) {
@@ -190,7 +190,9 @@ func metricKey(s string) string {
 }
 
 // Snapshot assembles the full /metrics view, summing the slots'
-// counters.
+// counters. It first flushes the tally of every free slot, taking and
+// releasing the slot as a caller does; it never waits for a held slot,
+// which contributes only the batches it has already flushed.
 func (s *Service) Snapshot() Snapshot {
 	var sum [numCounters]uint64
 	snap := Snapshot{
@@ -204,6 +206,13 @@ func (s *Service) Snapshot() Snapshot {
 		Events:   map[string]uint64{},
 	}
 	for _, sl := range s.slots {
+		if !sl.busy.Load() && sl.busy.CompareAndSwap(false, true) {
+			sl.flush()
+			sl.busy.Store(false)
+			if s.waiting.Load() != 0 {
+				s.wakeOne()
+			}
+		}
 		var c [numCounters]uint64
 		for i := range c {
 			c[i] = sl.counts[i].Load()

@@ -136,8 +136,9 @@ var (
 // slot is one decision slot — a simulated processor: its registered
 // snapshot reader, from whose pinned snapshots it reads every
 // descriptor, and the counters its decisions feed. A caller holds a
-// slot for one batch; taking and releasing busy orders successive
-// holders, so nothing else needs a lock. A released slot is offered
+// slot for one batch, and Snapshot holds a free one just long enough to
+// flush its tally; taking and releasing busy orders successive holders,
+// so nothing else needs a lock. A released slot is offered
 // first to the next caller on the same P (Service.free), so its reader
 // views, tally and counters stay in that core's cache, as the paper's
 // associative memory stays beside its processor.
@@ -145,10 +146,20 @@ type slot struct {
 	busy atomic.Bool
 	_    [56]byte // callers scanning for a free slot read busy; keep it off the holder's lines
 
-	index  int
-	rd     *reader
-	tally  tally    // the held batch's counts, in plain words
-	counts counters // the tallies of finished batches, for Snapshot
+	index   int
+	rd      *reader
+	pending int      // batches in tally since the last flush
+	tally   tally    // the unflushed batches' counts, in plain words
+	counts  counters // the flushed tallies, for Snapshot
+}
+
+// flush moves the slot's tally into its counters. The caller holds the
+// slot.
+//
+//ring:hotpath
+func (sl *slot) flush() {
+	sl.counts.add(&sl.tally)
+	sl.pending = 0
 }
 
 // closedBit marks Service.inflight once Close has begun; the bits
@@ -299,23 +310,34 @@ func (s *Service) SubmitInto(ctx context.Context, queries []Query, dst []Decisio
 		evalQuery(s.store, sl.rd, &sl.tally, &queries[i], &dst[i])
 		sl.tally.count(queries[i].Op, &dst[i])
 	}
-	// End of batch: quiesce so mutators can reclaim, then publish the
-	// batch's counts.
+	// End of batch: quiesce so mutators can reclaim, count the batch,
+	// and publish the tally if this is its flushEvery-th batch.
 	sl.tally[cPins] += sl.rd.unpin()
-	sl.counts.add(&sl.tally)
-	sl.counts.observe(time.Since(s.born) - start)
+	sl.tally[cLatency+latencyBucket((time.Since(s.born)-start).Nanoseconds())]++
+	sl.pending++
+	if sl.pending == flushEvery {
+		sl.flush()
+	}
 
 	// Release after the unpin: the wake send must never run pinned.
 	sl.busy.Store(false)
 	s.free.Put(sl)
 	if s.waiting.Load() != 0 {
-		select {
-		case s.wake <- struct{}{}:
-		default:
-		}
+		s.wakeOne()
 	}
 	s.leave()
 	return nil
+}
+
+// wakeOne sends a release notice to the callers waiting for a slot,
+// or drops it when one is already pending.
+//
+//ring:hotpath
+func (s *Service) wakeOne() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
 }
 
 // tryAcquire takes a free slot, or returns nil when all are busy: the

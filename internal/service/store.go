@@ -19,10 +19,11 @@
 //     predicates to it directly, as the paper's comparisons run on SDW
 //     fields the reference has already fetched. A slot counts its
 //     decisions in plain words and adds them to its /metrics counters
-//     once per batch. There is no queue and no worker goroutine: as the
-//     paper's processor validates inline in the reference path, a
-//     caller takes a free slot and decides its batch on its own
-//     goroutine. At most Workers+QueueDepth batches are admitted.
+//     once every flushEvery batches, or when Snapshot finds it free.
+//     There is no queue and no worker goroutine: as the paper's
+//     processor validates inline in the reference path, a caller takes
+//     a free slot and decides its batch on its own goroutine. At most
+//     Workers+QueueDepth batches are admitted.
 //
 // The package speaks no network protocol: internal/tenant serves the
 // HTTP/JSON surface and internal/wire the binary one, both over

@@ -219,8 +219,12 @@ func (c *Checker) Restore(segment string) error {
 	return c.store.Restore(segno)
 }
 
-// Metrics returns the decision counters (decisions, faults by kind,
-// snapshot-read and latency histograms).
+// Metrics returns the decision counters: decisions, faults by kind,
+// snapshot reads and the batch-latency histogram. Each slot publishes
+// its counts every 64 batches and when Metrics finds it free, so the
+// counts are exact once the Checker is quiet; a slot busy during the
+// call contributes only what it has published, at most 63 batches
+// behind. Metrics never waits for a busy slot.
 func (c *Checker) Metrics() service.Snapshot { return c.svc.Snapshot() }
 
 func unknownSegment(name string) error {
