@@ -51,9 +51,9 @@ const flushEvery = 64
 // batch, or in Snapshot when the slot is free. Snapshot sums every
 // slot's counters, a monitoring-grade (not transactionally consistent)
 // view. A slot that is busy during a scrape contributes only the
-// batches it has already flushed, at most flushEvery-1 behind, so every
-// count is exact once the service is quiet and never goes down between
-// scrapes.
+// batches it has already flushed, at most flushEvery-1 (63) behind, so
+// every count is exact once the service is quiet and never goes down
+// between scrapes.
 type counters [numCounters]atomic.Uint64
 
 // tally is a slot's unflushed counts in plain words: each holder counts
@@ -191,8 +191,9 @@ func metricKey(s string) string {
 
 // Snapshot assembles the full /metrics view, summing the slots'
 // counters. It first flushes the tally of every free slot, taking and
-// releasing the slot as a caller does; it never waits for a held slot,
-// which contributes only the batches it has already flushed.
+// releasing the slot as a caller does. It never waits for a held slot,
+// which contributes only the batches it has already flushed: at most
+// flushEvery-1 (63) behind.
 func (s *Service) Snapshot() Snapshot {
 	var sum [numCounters]uint64
 	snap := Snapshot{
