@@ -138,10 +138,10 @@ var (
 // descriptor, and the counters its decisions feed. A caller holds a
 // slot for one batch, and Snapshot holds a free one just long enough to
 // flush its tally; taking and releasing busy orders successive holders,
-// so nothing else needs a lock. A released slot is offered
-// first to the next caller on the same P (Service.free), so its reader
-// views, tally and counters stay in that core's cache, as the paper's
-// associative memory stays beside its processor.
+// so nothing else needs a lock. A released slot is offered first to the
+// next caller on the same P (Service.free), so its reader views, tally
+// and counters stay in that core's cache, as the paper's associative
+// memory stays beside its processor.
 type slot struct {
 	busy atomic.Bool
 	_    [56]byte // callers scanning for a free slot read busy; keep it off the holder's lines
